@@ -49,7 +49,6 @@ constexpr double kDelta = 0.2;
 struct ArmPoint {
   double estimate = 0.0;
   uint64_t oracle_calls = 0;
-  uint64_t estimator_calls = 0;
   double millis = 0.0;
   const char* stop_reason = "none";
   std::string cost_source;
@@ -93,7 +92,6 @@ bool RunArm(const Database& db, const char* query, bool adaptive, int intra,
   point->estimate = result->estimate;
   point->oracle_calls = result->oracle_calls;
   for (const ComponentResult& c : result->components) {
-    point->estimator_calls += c.estimator_calls;
     if (!c.executed) continue;
     // Report the run structure of the dominant estimated component (these
     // workloads are connected: exactly one).
@@ -163,8 +161,8 @@ int Run(const std::string& json_path) {
   std::vector<WorkloadResult> results;
   bench::Row("\n(b) warm third-call A/B (universe %u, eps %.2f, delta %.2f)",
              universe, kEpsilon, kDelta);
-  bench::Row("%12s %9s %12s %12s %10s %8s %14s %10s", "workload", "arm",
-             "oracle", "est_calls", "millis", "runs", "stop", "estimate");
+  bench::Row("%12s %9s %12s %10s %8s %14s %10s", "workload", "arm",
+             "oracle", "millis", "runs", "stop", "estimate");
   for (const Workload& w : kWorkloads) {
     WorkloadResult wr;
     wr.name = w.name;
@@ -177,10 +175,9 @@ int Run(const std::string& json_path) {
                        : 1.0;
     wr.rel_gap = bench::RelativeError(wr.on.estimate, wr.off.estimate);
     for (const ArmPoint* arm : {&wr.off, &wr.on}) {
-      bench::Row("%12s %9s %12llu %12llu %10.2f %5d/%-2d %14s %10.1f",
+      bench::Row("%12s %9s %12llu %10.2f %5d/%-2d %14s %10.1f",
                  w.name, arm == &wr.off ? "off" : "adaptive",
                  static_cast<unsigned long long>(arm->oracle_calls),
-                 static_cast<unsigned long long>(arm->estimator_calls),
                  arm->millis, arm->completed_runs, arm->total_runs,
                  arm->stop_reason, arm->estimate);
     }
@@ -215,12 +212,11 @@ int Run(const std::string& json_path) {
                        const char* trailer) {
     std::fprintf(out,
                  "     \"%s\": {\"estimate\": %.6f, \"oracle_calls\": %llu, "
-                 "\"estimator_calls\": %llu, \"millis\": %.2f, "
+                 "\"millis\": %.2f, "
                  "\"stop_reason\": \"%s\", \"cost_source\": \"%s\", "
                  "\"completed_runs\": %d, \"total_runs\": %d}%s\n",
                  name, arm.estimate,
                  static_cast<unsigned long long>(arm.oracle_calls),
-                 static_cast<unsigned long long>(arm.estimator_calls),
                  arm.millis, arm.stop_reason, arm.cost_source.c_str(),
                  arm.completed_runs, arm.total_runs, trailer);
   };

@@ -206,7 +206,7 @@ std::string CountResultJson(const EngineResult& r) {
     json.Key("existential").Bool(c.existential);
     json.Key("plan_cache_hit").Bool(c.plan_cache_hit);
     json.Key("oracle_calls").Uint(c.oracle_calls);
-    json.Key("estimator_calls").Uint(c.estimator_calls);
+    json.Key("nondet_hom_queries").Uint(c.nondet_hom_queries);
     json.Key("cost_source").String(c.cost_source);
     json.Key("predicted_ms").Double(c.predicted_millis);
     json.Key("predicted_oracle_calls").Double(c.predicted_oracle_calls);
@@ -499,7 +499,7 @@ int main(int argc, char** argv) {
             c, StopReasonName(comp.stop_reason), comp.completed_runs,
             comp.total_runs, comp.rounds_executed, comp.cost_source.c_str(),
             comp.predicted_oracle_calls,
-            static_cast<unsigned long long>(comp.estimator_calls));
+            static_cast<unsigned long long>(comp.oracle_calls));
       }
     }
     if (result->num_components > 1) {

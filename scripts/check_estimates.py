@@ -44,6 +44,7 @@ REQUIRED_METRICS = (
     "dlm.oracle_calls",
     "dlm.abandoned_waves",
     "dlm.early_stops",
+    "dlm.nondet.speculative_probes",
     "dp.prepared_decides",
     "cc.nondet.hom_queries",
     "acjr.membership_tests",
@@ -59,7 +60,8 @@ REQUIRED_METRICS = (
 )
 
 # Metrics with this name segment are documented scheduling-dependent WORK
-# counters (e.g. cc.nondet.hom_queries: parallel trial loops exit early).
+# counters (e.g. cc.nondet.hom_queries, dlm.nondet.speculative_probes:
+# speculative frontier probes vary with the lane count).
 # Determinism-sensitive assertions must skip them.
 NONDET_SEGMENT = ".nondet."
 
@@ -286,7 +288,7 @@ def check_count_json(path):
         for key in ("estimate", "exact", "strategy", "shape_key", "verdict",
                     "partial", "lower_bound", "upper_bound", "stop_reason",
                     "rounds_executed", "completed_runs", "total_runs",
-                    "plan_cache_hit", "oracle_calls", "estimator_calls",
+                    "plan_cache_hit", "oracle_calls", "nondet_hom_queries",
                     "exec_ms"):
             if key not in c:
                 failures.append(f"component {i}: missing {key!r}")
@@ -331,8 +333,8 @@ def check_scheduler(path):
     workloads = data.get("workloads")
     if not isinstance(workloads, list) or not workloads:
         raise SystemExit(f"{path}: no 'workloads' array")
-    arm_keys = ("estimate", "oracle_calls", "estimator_calls", "millis",
-                "stop_reason", "completed_runs", "total_runs")
+    arm_keys = ("estimate", "oracle_calls", "millis", "stop_reason",
+                "completed_runs", "total_runs")
     for w in workloads:
         name = w.get("name", "<unnamed>")
         for key in ("name", "universe", "seed", "epsilon", "delta",

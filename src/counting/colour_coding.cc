@@ -1,7 +1,6 @@
 #include "counting/colour_coding.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cmath>
 
@@ -31,9 +30,6 @@ std::vector<int> EndpointVars(const Query& q) {
   return vars;
 }
 
-// Minimum trial count before one call's trial loop is worth fanning out.
-constexpr uint64_t kMinTrialsForFanout = 8;
-
 }  // namespace
 
 namespace internal {
@@ -41,8 +37,7 @@ namespace internal {
 // Per-trial overlay builder: one packed mask per endpoint variable,
 // intersected across the disequalities that constrain it. Buffers are
 // reused across trials and oracle calls (no per-trial allocation after
-// warm-up). One instance per lane: Draw() output is valid until the
-// lane's next Draw().
+// warm-up). Draw() output is valid until the next Draw().
 class TrialOverlay {
  public:
   explicit TrialOverlay(const Query& q)
@@ -116,9 +111,8 @@ ColourCodingEdgeFreeOracle::ColourCodingEdgeFreeOracle(
           NumTrials(q.disequalities().size(), opts.per_call_failure)),
       opts_(opts),
       hom_ctx_(hom->SupportsConcurrentDecides() ? hom->CreateContext()
-                                                : nullptr) {
-  overlays_.push_back(std::make_unique<TrialOverlay>(q));
-}
+                                                : nullptr),
+      overlay_(std::make_unique<TrialOverlay>(q)) {}
 
 ColourCodingEdgeFreeOracle::ColourCodingEdgeFreeOracle(
     const ColourCodingEdgeFreeOracle& parent, std::unique_ptr<HomContext> ctx)
@@ -127,12 +121,8 @@ ColourCodingEdgeFreeOracle::ColourCodingEdgeFreeOracle(
       universe_(parent.universe_),
       trials_per_call_(parent.trials_per_call_),
       opts_(parent.opts_),
-      hom_ctx_(std::move(ctx)) {
-  // Forks never fan out further: one lane, inline trials.
-  opts_.pool = nullptr;
-  opts_.lanes = 1;
-  overlays_.push_back(std::make_unique<TrialOverlay>(query_));
-}
+      hom_ctx_(std::move(ctx)),
+      overlay_(std::make_unique<TrialOverlay>(query_)) {}
 
 ColourCodingEdgeFreeOracle::~ColourCodingEdgeFreeOracle() = default;
 
@@ -144,18 +134,6 @@ std::unique_ptr<EdgeFreeOracle> ColourCodingEdgeFreeOracle::Fork() {
       new ColourCodingEdgeFreeOracle(*this, std::move(ctx)));
 }
 
-void ColourCodingEdgeFreeOracle::EnsureLaneState() {
-  const int lanes = std::max(1, opts_.lanes);
-  while (static_cast<int>(overlays_.size()) < lanes) {
-    overlays_.push_back(std::make_unique<TrialOverlay>(query_));
-  }
-  if (lane_ctxs_.empty()) {
-    // Lane 0 reuses the oracle's own context; others get fresh ones.
-    lane_ctxs_.resize(lanes);
-    for (int l = 1; l < lanes; ++l) lane_ctxs_[l] = hom_->CreateContext();
-  }
-}
-
 bool ColourCodingEdgeFreeOracle::IsEdgeFree(const PartiteSubset& parts) {
   ++num_calls_;
   assert(static_cast<int>(parts.parts.size()) == query_.num_free());
@@ -163,71 +141,39 @@ bool ColourCodingEdgeFreeOracle::IsEdgeFree(const PartiteSubset& parts) {
   // Base domains: free variable i restricted to V_i, existentials free.
   // Fixed across all trials of this call (Lemma 22): the oracle hoists
   // every base-dependent cost out of the trial loop via Prepare.
-  VarDomains base;
-  base.allowed.resize(static_cast<size_t>(query_.num_vars()));
+  base_.allowed.resize(static_cast<size_t>(query_.num_vars()));
   for (int i = 0; i < query_.num_free(); ++i) {
-    base.allowed[static_cast<size_t>(i)] = parts.parts[i];
-    base.allowed[static_cast<size_t>(i)].Resize(universe_, false);
+    Bitset& allowed = base_.allowed[static_cast<size_t>(i)];
+    allowed = parts.parts[i];
+    allowed.Resize(universe_, false);
     // Fast path: an empty V_i admits no edge (word-parallel scan).
-    if (base.allowed[static_cast<size_t>(i)].None()) return true;
+    if (allowed.None()) return true;
   }
 
-  const auto& disequalities = query_.disequalities();
-  TrialOverlay& overlay = *overlays_[0];
   std::unique_ptr<PreparedHom> prepared =
-      hom_->Prepare(base, overlay.endpoint_vars(), hom_ctx_.get());
-  if (disequalities.empty()) {
+      hom_->Prepare(base_, overlay_->endpoint_vars(), hom_ctx_.get());
+  if (query_.disequalities().empty()) {
     return !prepared->Decide({});
   }
 
-  // Colourings are a pure function of (seed, subset, trial): every lane
-  // and every fork draws the identical masks for trial t of this subset.
+  // Colourings are a pure function of (seed, subset, trial): every fork
+  // draws the identical masks for trial t of this subset.
   const uint64_t call_seed =
       DeriveSeed(opts_.seed, HashPartiteSubset(parts));
-
-  const bool fan_out = opts_.pool != nullptr && opts_.lanes > 1 &&
-                       trials_per_call_ >= kMinTrialsForFanout &&
-                       hom_ctx_ != nullptr;
-  if (!fan_out) {
-    for (uint64_t trial = 0; trial < trials_per_call_; ++trial) {
-      // Trial-batch checkpoint: a fired governor truncates the loop (the
-      // enclosing governed work unit is discarded wholesale, so the
-      // truncated verdict never feeds a reported estimate).
-      if ((trial & 63u) == 0u && opts_.governor != nullptr &&
-          opts_.governor->Check() != GovernanceState::kRunning) {
-        break;
-      }
-      Rng trial_rng(DeriveSeed(call_seed, trial));
-      const std::vector<DomainRestriction>& extra =
-          overlay.Draw(trial_rng, universe_);
-      if (prepared->Decide(extra)) return false;  // Witness: has an edge.
+  for (uint64_t trial = 0; trial < trials_per_call_; ++trial) {
+    // Trial-batch checkpoint: a fired governor truncates the loop (the
+    // enclosing governed work unit is discarded wholesale, so the
+    // truncated verdict never feeds a reported estimate).
+    if ((trial & 63u) == 0u && opts_.governor != nullptr &&
+        opts_.governor->Check() != GovernanceState::kRunning) {
+      break;
     }
-    return true;
+    Rng trial_rng(DeriveSeed(call_seed, trial));
+    const std::vector<DomainRestriction>& extra =
+        overlay_->Draw(trial_rng, universe_);
+    if (prepared->Decide(extra)) return false;  // Witness: has an edge.
   }
-
-  // Lane-partitioned trial loop. The verdict is an OR over deterministic
-  // per-trial outcomes, so the early-exit flag affects work, never the
-  // result.
-  EnsureLaneState();
-  std::atomic<bool> witness{false};
-  opts_.pool->ParallelForLanes(
-      static_cast<size_t>(trials_per_call_), opts_.lanes,
-      [&](int lane, size_t trial) {
-        if (witness.load(std::memory_order_relaxed)) return;
-        // Latched-state read only (no clock probe on worker lanes): once
-        // the governor fires, remaining trials become no-ops.
-        if (opts_.governor != nullptr && opts_.governor->fired()) return;
-        Rng trial_rng(DeriveSeed(call_seed, trial));
-        TrialOverlay& lane_overlay = *overlays_[static_cast<size_t>(lane)];
-        const std::vector<DomainRestriction>& extra =
-            lane_overlay.Draw(trial_rng, universe_);
-        HomContext* ctx =
-            lane == 0 ? hom_ctx_.get() : lane_ctxs_[static_cast<size_t>(lane)].get();
-        if (prepared->Decide(extra, *ctx)) {
-          witness.store(true, std::memory_order_relaxed);
-        }
-      });
-  return !witness.load(std::memory_order_relaxed);
+  return true;
 }
 
 bool DecideAnySolution(const Query& q, HomOracle* hom, uint32_t universe_size,

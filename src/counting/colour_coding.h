@@ -24,9 +24,10 @@
 //     behaves like a single fixed random object over the subset lattice,
 //     which is the shape the Theorem 17 estimator conditions on (its
 //     failure bound union-bounds over the distinct subsets queried).
-// Within one call, trials partition across lanes via the executor; the
-// verdict is an OR of per-trial outcomes, so early exit does not affect
-// the result, only the work.
+// One call's trials run in order on the thread that issued it and stop at
+// the first witness. Intra-query parallelism lives one level up: the DLM
+// estimator fans whole calls (on distinct forks) across lanes, paying one
+// task hand-off per call instead of one per sub-microsecond trial.
 #ifndef CQCOUNT_COUNTING_COLOUR_CODING_H_
 #define CQCOUNT_COUNTING_COLOUR_CODING_H_
 
@@ -54,11 +55,11 @@ struct ColourCodingOptions {
   double per_call_failure = 1e-4;
   /// Deterministic seed for the colouring sampler.
   uint64_t seed = 0x5EEDC01DULL;
-  /// Worker pool for fanning one call's colouring trials across lanes
-  /// (not owned; null = run trials inline). Only used when the Hom oracle
-  /// supports concurrent decides.
+  /// Ignored: a call's trials always run inline on the calling thread
+  /// (callers parallelise across calls on forks). Kept for source
+  /// compatibility.
   Executor* pool = nullptr;
-  /// Lanes the trial loop may be partitioned across (<= 1 = inline).
+  /// Ignored, like `pool`.
   int lanes = 1;
   /// Cooperative governance (not owned; null = ungoverned). A fired
   /// governor makes the trial loop stop early and answer "edge-free";
@@ -91,12 +92,10 @@ class ColourCodingEdgeFreeOracle : public EdgeFreeOracle {
   uint64_t hom_queries() const { return hom_->num_calls(); }
 
  private:
-  // Fork constructor: private context, no further fan-out.
+  // Fork constructor: shares the parent's query and Hom oracle, owns a
+  // private context.
   ColourCodingEdgeFreeOracle(const ColourCodingEdgeFreeOracle& parent,
                              std::unique_ptr<HomContext> ctx);
-
-  // Lane state for the trial-parallel path (created on first use).
-  void EnsureLaneState();
 
   const Query& query_;
   HomOracle* hom_;
@@ -107,11 +106,11 @@ class ColourCodingEdgeFreeOracle : public EdgeFreeOracle {
   // has no concurrent path: they use the oracle's default context).
   std::unique_ptr<HomContext> hom_ctx_;
   // Reusable per-trial endpoint-mask builder (only the <= 2|Delta|
-  // disequality endpoint domains change across trials). Index 0 serves
-  // the sequential path; lanes >= 1 are created by EnsureLaneState.
-  std::vector<std::unique_ptr<internal::TrialOverlay>> overlays_;
-  // Lane HomContexts for trial-parallel decides (lane 0 = hom_ctx_).
-  std::vector<std::unique_ptr<HomContext>> lane_ctxs_;
+  // disequality endpoint domains change across trials).
+  std::unique_ptr<internal::TrialOverlay> overlay_;
+  // Per-call base domains, reused across calls (no per-call allocation
+  // after warm-up).
+  VarDomains base_;
 };
 
 /// Amplified decision "does (phi, D) have any solution?" via colour-coded

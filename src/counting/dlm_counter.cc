@@ -4,7 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
-#include <queue>
+#include <map>
 #include <tuple>
 #include <utility>
 
@@ -20,7 +20,8 @@ namespace {
 // Registry mirrors of the estimator's per-result counters. Fed ONCE per
 // estimate (bulk adds in DlmCountEdges), never inside the probe loops:
 // the sampling hot path stays byte-identical to the uninstrumented code,
-// so determinism and the <2% overhead budget hold trivially.
+// so determinism and the <2% overhead budget hold trivially. Names with
+// a `.nondet.` segment vary with the lane count.
 struct DlmMetrics {
   obs::Counter& estimates = obs::MetricRegistry::Global().GetCounter(
       "dlm.estimates", "DLM edge-count estimates computed");
@@ -40,6 +41,10 @@ struct DlmMetrics {
   obs::Counter& early_stops = obs::MetricRegistry::Global().GetCounter(
       "dlm.early_stops",
       "Outer-median schedules terminated early by the CLT/hard-bounds rule");
+  obs::Counter& speculative_probes = obs::MetricRegistry::Global().GetCounter(
+      "dlm.nondet.speculative_probes",
+      "Frontier probes issued speculatively but never consumed (zero at one "
+      "lane; depends on the lane count)");
   obs::Histogram& calls_per_estimate =
       obs::MetricRegistry::Global().GetHistogram(
           "dlm.calls_per_estimate", "Oracle probes per estimate (log2 buckets)");
@@ -84,9 +89,10 @@ struct Box {
   }
 };
 
-PartiteSubset ToSubset(const Box& box,
-                       const std::vector<uint32_t>& part_sizes) {
-  PartiteSubset subset;
+// Writes `box` into `subset`, reusing its mask buffers.
+const PartiteSubset& FillSubset(const Box& box,
+                                const std::vector<uint32_t>& part_sizes,
+                                PartiteSubset& subset) {
   subset.parts.resize(box.ranges.size());
   for (size_t i = 0; i < box.ranges.size(); ++i) {
     subset.parts[i].Assign(part_sizes[i], false);
@@ -94,6 +100,17 @@ PartiteSubset ToSubset(const Box& box,
   }
   return subset;
 }
+
+// Cap on one speculative frontier batch (probes fanned across lanes).
+constexpr size_t kMaxSpeculativeProbes = 1024;
+
+// Frontier boxes more than this many halvings above the root's volume are
+// probed inline on lane 0, never speculated. A probe's prepared state
+// grows with its box, so spreading the top levels' big boxes over every
+// lane's context raised peak RSS by ~10% on perfbench's `sampling`
+// workload (4-vCPU VM); these levels hold only ~30 of the expansion's
+// probes.
+constexpr double kSpeculationMinHalvings = 4.0;
 
 // Number of sub-boxes the exact phase is pre-partitioned into. A fixed
 // constant — NOT a function of the lane count — so the partition (and
@@ -133,6 +150,7 @@ class Estimator {
       }
     }
     if (lanes_.size() == 1) forks_.clear();
+    lane_subsets_.resize(lanes_.size());
     parallel_.lanes = static_cast<int>(lanes_.size());
   }
 
@@ -162,8 +180,8 @@ class Estimator {
     if (GovFired()) return GovStatus("DLM exact phase");
 
     // Phase 2: breadth-first expansion into a frontier of non-empty boxes
-    // (sequential: a priority-driven loop of ~2 * max_frontier probes,
-    // dwarfed by the sampling phase it feeds).
+    // (a priority-driven loop of ~2 * max_frontier probes; often most of
+    // the estimate's time, so its probes are speculated across lanes).
     std::vector<Box> frontier;
     uint64_t singleton_edges = 0;
     {
@@ -215,10 +233,9 @@ class Estimator {
     const obs::SpanRef sampling_ref = sampling_span.ref();
     auto execute_run = [&](int lane, size_t r) {
       obs::Span run_span("dlm.run", sampling_ref);
-      outcomes[r] =
-          AdaptiveRun(frontier, singleton_edges, run_seeds[r], per_run_budget,
-                      *lanes_[static_cast<size_t>(lane)],
-                      /*sample_fanout=*/false);
+      outcomes[r] = AdaptiveRun(frontier, singleton_edges, run_seeds[r],
+                                per_run_budget, lane,
+                                /*sample_fanout=*/false);
       // Deterministic cut-point injection for governance tests: fires
       // after run r finishes (before the next run's first checkpoint).
       failpoint::ShouldFail("dlm.run_boundary");
@@ -238,7 +255,7 @@ class Estimator {
         obs::Span run_span("dlm.run", sampling_ref);
         outcomes[r] =
             AdaptiveRun(frontier, singleton_edges, run_seeds[r],
-                        per_run_budget, *lanes_[0],
+                        per_run_budget, /*home_lane=*/0,
                         /*sample_fanout=*/lanes_.size() > 1);
         failpoint::ShouldFail("dlm.run_boundary");
       }
@@ -436,7 +453,7 @@ class Estimator {
         obs::Span run_span("dlm.run", sampling_ref);
         outcomes.push_back(AdaptiveRun(frontier, singleton_edges,
                                        run_seeds[static_cast<size_t>(r)],
-                                       per_run_budget, *lanes_[0],
+                                       per_run_budget, /*home_lane=*/0,
                                        /*sample_fanout=*/lanes_.size() > 1));
       }
       failpoint::ShouldFail("dlm.run_boundary");
@@ -485,16 +502,79 @@ class Estimator {
   bool SeqOverBudget() const { return seq_calls_ > opts_.max_oracle_calls; }
 
   // Sequential-phase probe on the root oracle (deterministic order).
-  bool IsEdgeFreeSeq(const Box& box) {
-    ++seq_calls_;
-    return lanes_[0]->IsEdgeFree(ToSubset(box, part_sizes_));
+  bool IsEdgeFreeSeq(const Box& box) { return Probe(0, box, &seq_calls_); }
+
+  bool Probe(int lane, const Box& box, uint64_t* calls) {
+    ++*calls;
+    return Ask(lane, box);
   }
 
-  static bool Probe(EdgeFreeOracle& oracle,
-                    const std::vector<uint32_t>& part_sizes, const Box& box,
-                    uint64_t* calls) {
-    ++*calls;
-    return oracle.IsEdgeFree(ToSubset(box, part_sizes));
+  // One oracle call on lane `lane`. Only the thread driving that lane may
+  // call it (the lane's subset scratch is reused).
+  bool Ask(int lane, const Box& box) {
+    const size_t l = static_cast<size_t>(lane);
+    return lanes_[l]->IsEdgeFree(
+        FillSubset(box, part_sizes_, lane_subsets_[l]));
+  }
+
+  // Frontier-expansion probe of `box`, a half of `parent` (just popped off
+  // `heap`). One lane, or a parent within kSpeculationMinHalvings of the
+  // root: probes exactly `box`. Otherwise the answer comes from memo_, and
+  // a miss first runs a speculative batch: `box`, its sibling, and both
+  // halves of every heap box within one halving of `parent` — the probes
+  // the loop is about to ask for — fanned across lanes. Every lane's
+  // oracle answers a subset as the root would, so a memo answer equals a
+  // direct probe; seq_calls_ counts only consumed probes, keeping every
+  // budget decision and the call tally lane-count-independent. Returns
+  // false without consuming when the governor latched during the batch
+  // (its verdicts may be truncated).
+  bool FrontierProbe(const Box& box, const Box& parent,
+                     const std::vector<Box>& heap, bool* edge_free) {
+    if (lanes_.size() == 1 || parent.LogVolume() > speculation_max_volume_) {
+      *edge_free = IsEdgeFreeSeq(box);
+      return true;
+    }
+    auto it = memo_.find(box.ranges);
+    if (it == memo_.end()) {
+      SpeculateBatch(box, parent, heap);
+      if (GovFired()) return false;
+      it = memo_.find(box.ranges);
+    }
+    ++seq_calls_;
+    ++speculative_consumed_;
+    *edge_free = it->second;
+    memo_.erase(it);  // Each box is probed at most once per expansion.
+    return true;
+  }
+
+  void SpeculateBatch(const Box& box, const Box& parent,
+                      const std::vector<Box>& heap) {
+    spec_boxes_.assign(1, box);
+    auto add = [&](Box half) {
+      if (memo_.count(half.ranges) == 0) spec_boxes_.push_back(std::move(half));
+    };
+    auto [left, right] = Split(parent);
+    if (left.ranges == box.ranges) add(std::move(right));
+    const double floor = parent.LogVolume() - 1.0;
+    for (const Box& queued : heap) {
+      if (spec_boxes_.size() + 2 > kMaxSpeculativeProbes) break;
+      if (queued.IsSingleton() || queued.LogVolume() < floor) continue;
+      auto [l, r] = Split(queued);
+      add(std::move(l));
+      add(std::move(r));
+    }
+    spec_verdicts_.assign(spec_boxes_.size(), 0);
+    Executor::LaneStats stats = opts_.pool->ParallelForLanes(
+        spec_boxes_.size(), static_cast<int>(lanes_.size()),
+        [&](int lane, size_t i) {
+          spec_verdicts_[i] = Ask(lane, spec_boxes_[i]);
+        });
+    speculative_issued_ += spec_boxes_.size();
+    parallel_.tasks += spec_boxes_.size();
+    parallel_.worker_tasks += stats.worker_ran;
+    for (size_t i = 0; i < spec_boxes_.size(); ++i) {
+      memo_.emplace(std::move(spec_boxes_[i].ranges), spec_verdicts_[i] != 0);
+    }
   }
 
   std::pair<Box, Box> Split(const Box& box) const {
@@ -513,46 +593,68 @@ class Estimator {
   // everything resolved into singletons, or — when `budget_guarded` —
   // the sequential call budget ran out). Singleton edges are counted into
   // *singletons; the non-singleton frontier is appended to *boxes in a
-  // deterministic (priority) order. Probes run on the root oracle.
+  // deterministic (priority) order. The loop itself is sequential; its
+  // probes go through FrontierProbe, which may answer them from a batch
+  // speculated across lanes without changing any decision.
   void ExpandFrontier(const Box& root, int limit, bool budget_guarded,
                       std::vector<Box>* boxes, uint64_t* singletons) {
+    // A max-heap on log-volume (std::priority_queue's exact operations,
+    // so the pop order is fixed) whose contents FrontierProbe can read.
     auto cmp = [](const Box& a, const Box& b) {
       return a.LogVolume() < b.LogVolume();
     };
-    std::priority_queue<Box, std::vector<Box>, decltype(cmp)> queue(cmp);
-    queue.push(root);
-    while (!queue.empty() &&
-           static_cast<int>(boxes->size()) + static_cast<int>(queue.size()) <
+    std::vector<Box> heap;
+    auto push = [&](Box box) {
+      heap.push_back(std::move(box));
+      std::push_heap(heap.begin(), heap.end(), cmp);
+    };
+    auto pop = [&] {
+      std::pop_heap(heap.begin(), heap.end(), cmp);
+      Box box = std::move(heap.back());
+      heap.pop_back();
+      return box;
+    };
+    memo_.clear();
+    speculation_max_volume_ = root.LogVolume() - kSpeculationMinHalvings;
+    push(root);
+    while (!heap.empty() &&
+           static_cast<int>(boxes->size()) + static_cast<int>(heap.size()) <
                limit &&
            !(budget_guarded && SeqOverBudget()) &&
            // Iteration-boundary checkpoint: on fire, the loop drains the
-           // queue into a valid (coarser) frontier and the caller decides
+           // heap into a valid (coarser) frontier and the caller decides
            // via GovFired() whether to use it.
            Checkpoint() == GovernanceState::kRunning) {
-      Box box = queue.top();
-      queue.pop();
+      // Deterministic cut-point injection for governance tests (the loop
+      // is sequential at every lane count).
+      failpoint::ShouldFail("dlm.frontier_step");
+      Box box = pop();
       if (box.IsSingleton()) {
         ++*singletons;
         continue;
       }
       auto [left, right] = Split(box);
-      const bool left_nonempty = !IsEdgeFreeSeq(left);
+      bool left_free = false;
       // The parent box is non-empty, so if the left half is empty the
       // right half cannot be (one call saved).
-      const bool right_nonempty =
-          !left_nonempty ? true : !IsEdgeFreeSeq(right);
-      if (left_nonempty) queue.push(std::move(left));
-      if (right_nonempty) queue.push(std::move(right));
+      bool right_free = false;
+      if (!FrontierProbe(left, box, heap, &left_free) ||
+          (!left_free && !FrontierProbe(right, box, heap, &right_free))) {
+        push(std::move(box));  // Governor fired mid-batch: stop here.
+        break;
+      }
+      if (!left_free) push(std::move(left));
+      if (!right_free) push(std::move(right));
     }
-    while (!queue.empty()) {
-      Box box = queue.top();
-      queue.pop();
+    while (!heap.empty()) {
+      Box box = pop();
       if (box.IsSingleton()) {
         ++*singletons;
       } else {
         boxes->push_back(std::move(box));
       }
     }
+    memo_ = {};  // Unconsumed speculation: release it.
   }
 
   // Phase 1. Expands `root` (non-empty) into at most kExactPartition
@@ -593,7 +695,6 @@ class Estimator {
     std::vector<size_t> live;
     auto run_task = [&](int lane, size_t slot) {
       ExactTask& task = tasks[live[slot]];
-      EdgeFreeOracle& oracle = *lanes_[static_cast<size_t>(lane)];
       uint64_t wave_count = 0;
       while (!task.stack.empty() && wave_count < chunk) {
         Box box = std::move(task.stack.back());
@@ -604,11 +705,9 @@ class Estimator {
           continue;
         }
         auto [left, right] = Split(box);
-        const bool left_nonempty =
-            !Probe(oracle, part_sizes_, left, &task.calls);
+        const bool left_nonempty = !Probe(lane, left, &task.calls);
         const bool right_nonempty =
-            !left_nonempty ? true : !Probe(oracle, part_sizes_, right,
-                                           &task.calls);
+            !left_nonempty ? true : !Probe(lane, right, &task.calls);
         if (left_nonempty) task.stack.push_back(std::move(left));
         if (right_nonempty) task.stack.push_back(std::move(right));
       }
@@ -670,17 +769,16 @@ class Estimator {
   // Unbiased pruned-Knuth estimate of the number of edges inside `box`
   // (which must be non-empty): descend by halving; the weight doubles only
   // when both halves are non-empty.
-  double KnuthSample(Box box, Rng& rng, EdgeFreeOracle& oracle,
-                     uint64_t* calls) const {
+  double KnuthSample(Box box, Rng& rng, int lane, uint64_t* calls) {
     double weight = 1.0;
     while (!box.IsSingleton()) {
       auto [left, right] = Split(box);
-      const bool left_nonempty = !Probe(oracle, part_sizes_, left, calls);
+      const bool left_nonempty = !Probe(lane, left, calls);
       if (!left_nonempty) {
         box = std::move(right);
         continue;
       }
-      const bool right_nonempty = !Probe(oracle, part_sizes_, right, calls);
+      const bool right_nonempty = !Probe(lane, right, calls);
       if (!right_nonempty) {
         box = std::move(left);
         continue;
@@ -711,11 +809,10 @@ class Estimator {
   // stratum id, k})) and sample weights merge in job order, so the run's
   // trajectory is a pure function of (frontier, run_seed, budget) — the
   // same whether its per-round batches fan across lanes (sample_fanout),
-  // the whole run sits on one lane, or everything is inline.
+  // the whole run sits on one lane (`home_lane`), or everything is inline.
   RunOutcome AdaptiveRun(const std::vector<Box>& initial_frontier,
                          uint64_t singleton_edges, uint64_t run_seed,
-                         uint64_t budget, EdgeFreeOracle& home,
-                         bool sample_fanout) {
+                         uint64_t budget, int home_lane, bool sample_fanout) {
     struct Stratum {
       Box box;
       MeanVarAccumulator acc;
@@ -803,9 +900,8 @@ class Estimator {
                                         static_cast<uint64_t>(job.id),
                                         static_cast<uint64_t>(job.k)}));
           uint64_t calls = 0;
-          const double w = KnuthSample(strata[job.stratum].box, rng,
-                                       *lanes_[static_cast<size_t>(lane)],
-                                       &calls);
+          const double w =
+              KnuthSample(strata[job.stratum].box, rng, lane, &calls);
           weights[offset] = {w, calls};
         };
         if (sample_fanout && end - begin > 1) {
@@ -814,9 +910,6 @@ class Estimator {
           parallel_.tasks += end - begin;
           parallel_.worker_tasks += stats.worker_ran;
         } else {
-          // Home lane: `home` is lanes_[l] for run-level fanout; map back
-          // to its index so run_job stays lane-agnostic.
-          const int home_lane = HomeLane(home);
           for (size_t offset = 0; offset < end - begin; ++offset) {
             run_job(home_lane, offset);
           }
@@ -859,11 +952,9 @@ class Estimator {
         Stratum& s = strata[order[idx]];
         if (s.box.IsSingleton() || run_calls > budget) continue;
         auto [left, right] = Split(s.box);
-        const bool left_nonempty =
-            !Probe(home, part_sizes_, left, &run_calls);
+        const bool left_nonempty = !Probe(home_lane, left, &run_calls);
         const bool right_nonempty =
-            !left_nonempty ? true
-                           : !Probe(home, part_sizes_, right, &run_calls);
+            !left_nonempty ? true : !Probe(home_lane, right, &run_calls);
         std::vector<Box> halves;
         if (left_nonempty) halves.push_back(std::move(left));
         if (right_nonempty) halves.push_back(std::move(right));
@@ -896,20 +987,20 @@ class Estimator {
     return {estimate, rounds, false, run_calls, true};
   }
 
-  int HomeLane(const EdgeFreeOracle& home) const {
-    for (size_t l = 0; l < lanes_.size(); ++l) {
-      if (lanes_[l] == &home) return static_cast<int>(l);
-    }
-    return 0;
-  }
-
   const std::vector<uint32_t>& part_sizes_;
   const DlmOptions& opts_;
   std::vector<EdgeFreeOracle*> lanes_;  // [0] = the root oracle.
   std::vector<std::unique_ptr<EdgeFreeOracle>> forks_;
-  uint64_t seq_calls_ = 0;   // Sequential-phase probes (root oracle).
+  std::vector<PartiteSubset> lane_subsets_;  // Per-lane probe scratch.
+  uint64_t seq_calls_ = 0;   // Consumed sequential-phase probes.
   uint64_t task_calls_ = 0;  // Exact-phase task probes (summed in order).
   ParallelStats parallel_;
+  // Speculative frontier state: verdicts by box, live for one expansion,
+  // and the batch scratch.
+  std::map<std::vector<std::pair<uint32_t, uint32_t>>, bool> memo_;
+  double speculation_max_volume_ = 0.0;  // Log2; parents above probe inline.
+  std::vector<Box> spec_boxes_;
+  std::vector<char> spec_verdicts_;
 
  public:
   // Per-estimate accounting, read once by DlmCountEdges for the bulk
@@ -919,6 +1010,8 @@ class Estimator {
   uint64_t abandoned_waves_ = 0;
   uint64_t runs_executed_ = 0;
   uint64_t total_rounds_ = 0;
+  uint64_t speculative_issued_ = 0;
+  uint64_t speculative_consumed_ = 0;
 };
 
 }  // namespace
@@ -946,6 +1039,8 @@ StatusOr<DlmResult> DlmCountEdges(const std::vector<uint32_t>& part_sizes,
     metrics.oracle_calls.Add(result->oracle_calls);
     metrics.exact_waves.Add(estimator.exact_waves_);
     metrics.abandoned.Add(estimator.abandoned_waves_);
+    metrics.speculative_probes.Add(estimator.speculative_issued_ -
+                                   estimator.speculative_consumed_);
     if (result->stop_reason == StopReason::kConfidence ||
         result->stop_reason == StopReason::kHardBounds) {
       metrics.early_stops.Increment();

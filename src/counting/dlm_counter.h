@@ -20,16 +20,20 @@
 // descent — draws from Rng(DeriveSeed(seed, {run, round, stratum, k})),
 // and results merge in index order, so the estimate is a pure function of
 // (part_sizes, oracle behaviour, options) — never of scheduling. Work is
-// partitioned onto `pool` across `intra_threads` lanes (exact-phase
-// sub-boxes, the outer median runs, and per-round sample batches); each
-// lane drives its own oracle fork (EdgeFreeOracle::Fork), which must
-// answer every subset exactly as the root oracle would. Oracle-call
-// budgets are accounted per deterministic unit (per exact-phase task, per
-// adaptive run) and checked at round boundaries, keeping converged/cap
-// outcomes thread-count-independent. Passing pool = null (or
-// intra_threads <= 1, or an oracle without Fork) runs the identical
-// partitioned computation inline: fixed-seed estimates are bit-identical
-// at ANY lane count.
+// partitioned onto `pool` across `intra_threads` lanes (speculative
+// frontier-probe batches, exact-phase sub-boxes, the outer median runs,
+// and per-round sample batches); each lane drives its own oracle fork
+// (EdgeFreeOracle::Fork), which must answer every subset exactly as the
+// root oracle would. The frontier expansion stays a sequential priority
+// loop: spare lanes only probe ahead into a memo, the loop consumes the
+// answers in its own order, and only consumed probes are counted.
+// Oracle-call budgets are accounted per deterministic unit (consumed
+// frontier probes, per exact-phase task, per adaptive run) and checked at
+// loop/round boundaries, keeping converged/cap outcomes and oracle_calls
+// thread-count-independent. Passing pool = null (or intra_threads <= 1,
+// or an oracle without Fork) runs the identical computation inline with
+// no speculation: fixed-seed estimates are bit-identical at ANY lane
+// count.
 #ifndef CQCOUNT_COUNTING_DLM_COUNTER_H_
 #define CQCOUNT_COUNTING_DLM_COUNTER_H_
 
@@ -102,7 +106,8 @@ struct DlmOptions {
 /// Estimation result (estimate/exact/converged — plus the anytime-answer
 /// partial/lower_bound/upper_bound triple — from EstimateOutcome).
 struct DlmResult : EstimateOutcome {
-  /// Oracle calls consumed (deterministic per-unit accounting).
+  /// Oracle calls consumed (deterministic per-unit accounting; probes
+  /// speculated on spare lanes but never consumed are not included).
   uint64_t oracle_calls = 0;
   /// Adaptive rounds used by the slowest run.
   int refinement_rounds = 0;

@@ -21,19 +21,19 @@ struct FptrasMetrics {
   obs::Counter& invocations = obs::MetricRegistry::Global().GetCounter(
       "fptras.invocations", "ApproxCountAnswers pipeline executions");
   // NOTE on determinism: hom_queries is a WORK counter, not a result.
-  // The colour-coding trial loop exits early across parallel lanes, so
-  // the number of hom-oracle queries actually issued depends on
-  // scheduling. Verdicts (and thus estimates and oracle_calls =
-  // hom + edgefree probes at the DLM layer) are scheduling-independent;
-  // only this tally of work performed may vary run to run. The `.nondet.`
-  // name segment marks it (and any future scheduling-dependent counter)
-  // for tooling: scripts/check_estimates.py excludes the prefix from
+  // It includes the trials of frontier probes the DLM estimator
+  // speculated on spare lanes but never consumed, so it varies with the
+  // lane count. Verdicts (and thus estimates and oracle_calls, the
+  // consumed edge-free probes) are lane-count-independent; only this
+  // tally of work performed may vary. The `.nondet.` name segment marks
+  // it (and any future scheduling-dependent counter) for tooling:
+  // scripts/check_estimates.py excludes the prefix from
   // determinism-sensitive assertions.
   obs::Counter& hom_queries = obs::MetricRegistry::Global().GetCounter(
       "cc.nondet.hom_queries",
       "Hom-oracle queries issued by colour-coding trials. Nondeterministic "
-      "work counter: parallel trial loops exit early, so the tally varies "
-      "with scheduling; trial verdicts never do");
+      "work counter: speculative frontier probes vary with the lane count; "
+      "verdicts never do");
   obs::Counter& colouring_trials = obs::MetricRegistry::Global().GetCounter(
       "cc.colouring_trials_per_call",
       "Colouring trials budgeted per edge-free oracle call, summed over "

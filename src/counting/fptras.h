@@ -71,9 +71,9 @@ struct ApproxCountResult : EstimateOutcome {
   /// DLM layer accounts calls per deterministic work unit).
   uint64_t edgefree_calls = 0;
   /// Hom queries issued by the colour-coding layer. A WORK counter, not
-  /// part of the determinism contract: with intra-query lanes, the
-  /// parallel trial loop's early exit means the number of trials
-  /// actually evaluated (never the verdict) can vary with scheduling.
+  /// part of the determinism contract: with intra-query lanes it includes
+  /// the trials of frontier probes speculated but never consumed, so it
+  /// varies with the lane count (verdicts never do).
   uint64_t hom_queries = 0;
   /// Colouring trials per EdgeFree call (the 4^{|Delta|} log factor).
   uint64_t colouring_trials_per_call = 0;

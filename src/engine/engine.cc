@@ -453,7 +453,7 @@ StatusOr<EngineResult> CountingEngine::ExecutePlanned(
         cr.total_runs = outcome->total_runs;
         if (cr.partial) interrupted = true;
         cr.oracle_calls = outcome->oracle_calls;
-        cr.estimator_calls = outcome->estimator_calls;
+        cr.nondet_hom_queries = outcome->nondet_hom_queries;
         cr.dp_prepared_decides = outcome->dp_prepared_decides;
         cr.dp_cached_bag_rows = outcome->dp_cached_bag_rows;
         cr.dp_prepared_path = outcome->dp_prepared_path;
@@ -474,8 +474,8 @@ StatusOr<EngineResult> CountingEngine::ExecutePlanned(
         // their truncated cost/estimate would skew the profile.
         if (!cr.partial) {
           cache_.RecordObservation(planned.keys[i], cr.exec_millis,
-                                   cr.oracle_calls, cr.estimator_calls,
-                                   cr.estimate, cr.converged);
+                                   cr.oracle_calls, cr.estimate,
+                                   cr.converged);
         }
         if (adaptive) {
           RecordAdaptiveOutcome(cr.stop_reason, cr.completed_runs,
@@ -793,14 +793,13 @@ StatusOr<Explanation> CountingEngine::Explain(const std::string& query,
     if (!ce.cost_source.empty()) {
       text << "  scheduled: cost source " << ce.cost_source
            << "  predicted " << ce.predicted_millis << " ms, "
-           << ce.predicted_oracle_calls << " estimator calls\n";
+           << ce.predicted_oracle_calls << " oracle calls\n";
     }
     if (ce.observed.has_value()) {
       const obs::ShapeProfile& sp = *ce.observed;
       text << "  observed: runs " << sp.runs << "  mean " << sp.MeanExecMillis()
            << " ms  [" << sp.min_exec_millis << ", " << sp.max_exec_millis
            << "] ms  oracle calls " << sp.total_oracle_calls
-           << "  estimator calls " << sp.total_estimator_calls
            << "  converged " << sp.converged_runs << "/" << sp.runs << "\n";
     }
     out.components.push_back(std::move(ce));

@@ -162,10 +162,12 @@ struct ComponentResult {
   /// product a certain zero): estimate/exact/oracle_calls are then
   /// placeholders, only the planning provenance is meaningful.
   bool executed = false;
+  /// Deterministic estimator probes (see ExecOutcome::oracle_calls);
+  /// the cost model's observation input.
   uint64_t oracle_calls = 0;
-  /// Deterministic estimator probes only (excludes the scheduling-
-  /// dependent hom-query tally); the cost model's observation input.
-  uint64_t estimator_calls = 0;
+  /// Lane-count-dependent hom-oracle work (see
+  /// ExecOutcome::nondet_hom_queries); reported only.
+  uint64_t nondet_hom_queries = 0;
   /// Trial decisions served by the prepare/evaluate DP split and the
   /// size of the bag-join cache they shared (fptras strategies).
   uint64_t dp_prepared_decides = 0;

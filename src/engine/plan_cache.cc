@@ -86,15 +86,14 @@ void PlanCache::Insert(const std::string& key,
 }
 
 void PlanCache::RecordObservation(const std::string& key, double exec_millis,
-                                  uint64_t oracle_calls,
-                                  uint64_t estimator_calls, double estimate,
+                                  uint64_t oracle_calls, double estimate,
                                   bool converged) {
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.index.find(key);
   if (it == shard.index.end()) return;  // Evicted since execution began.
-  it->second->profile.Observe(exec_millis, oracle_calls, estimator_calls,
-                              estimate, converged);
+  it->second->profile.Observe(exec_millis, oracle_calls, estimate,
+                              converged);
 }
 
 std::optional<obs::ShapeProfile> PlanCache::Profile(

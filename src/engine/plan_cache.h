@@ -56,8 +56,8 @@ class PlanCache {
   /// cost/variance record the adaptive scheduler reads). No-op when the
   /// plan is no longer cached: the profile lives and dies with the entry.
   void RecordObservation(const std::string& key, double exec_millis,
-                         uint64_t oracle_calls, uint64_t estimator_calls,
-                         double estimate, bool converged);
+                         uint64_t oracle_calls, double estimate,
+                         bool converged);
 
   /// The accumulated profile for `key`, when the plan is cached and has
   /// at least one recorded execution. Does not touch LRU order.

@@ -47,13 +47,12 @@ CostPrediction AdaptiveScheduler::Predict(
     const std::optional<obs::ShapeProfile>& observed) const {
   CostPrediction prediction;
   if (observed.has_value() && observed->runs >= opts_.min_profile_runs) {
-    // Accuracy-relevant cost units come from the deterministic
-    // estimator-call counter; the oracle-call mean (also lane-invariant)
-    // sizes trials budgets and reporting; millis only ever drives lane
+    // Accuracy-relevant cost units and trials budgets come from the
+    // deterministic oracle-call counter; millis only ever drives lane
     // grants (scheduling-only), so timing noise cannot leak into the
     // arithmetic.
     prediction.oracle_calls = observed->MeanOracleCalls();
-    prediction.cost_units = std::max(observed->MeanEstimatorCalls(), 1.0);
+    prediction.cost_units = std::max(prediction.oracle_calls, 1.0);
     prediction.millis = observed->MeanExecMillis();
     prediction.variance_millis = observed->VarianceExecMillis();
     prediction.source = CostSource::kObservedProfile;

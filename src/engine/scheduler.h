@@ -86,7 +86,7 @@ inline const char* CostSourceName(CostSource source) {
 
 /// Predicted cost of executing one component once.
 struct CostPrediction {
-  /// Deterministic work scale: observed mean estimator probes per
+  /// Deterministic work scale: observed mean oracle calls per
   /// execution, or the planner's cost estimate for cold shapes. Drives
   /// the accuracy-relevant decisions (budget weights).
   double cost_units = 0.0;

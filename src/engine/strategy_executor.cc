@@ -85,8 +85,8 @@ class FptrasExecutor : public StrategyExecutor {
     outcome.rounds_executed = approx->rounds_executed;
     outcome.completed_runs = approx->completed_runs;
     outcome.total_runs = approx->total_runs;
-    outcome.oracle_calls = approx->hom_queries + approx->edgefree_calls;
-    outcome.estimator_calls = approx->edgefree_calls;
+    outcome.oracle_calls = approx->edgefree_calls;
+    outcome.nondet_hom_queries = approx->hom_queries;
     // Surface the prepare/evaluate DP reuse: one bag-join cache serves
     // every DLM oracle call issued against this plan's decomposition.
     outcome.dp_prepared_decides = approx->dp_prepared_decides;
@@ -127,7 +127,6 @@ class AutomataFprasExecutor : public StrategyExecutor {
     outcome.lower_bound = fpras->lower_bound;
     outcome.upper_bound = fpras->upper_bound;
     outcome.oracle_calls = fpras->membership_tests;
-    outcome.estimator_calls = fpras->membership_tests;
     outcome.parallel = fpras->parallel;
     return outcome;
   }
@@ -178,8 +177,8 @@ class SamplerExecutor : public StrategyExecutor {
     outcome.rounds_executed = approx->rounds_executed;
     outcome.completed_runs = approx->completed_runs;
     outcome.total_runs = approx->total_runs;
-    outcome.oracle_calls = approx->hom_queries + approx->edgefree_calls;
-    outcome.estimator_calls = approx->edgefree_calls;
+    outcome.oracle_calls = approx->edgefree_calls;
+    outcome.nondet_hom_queries = approx->hom_queries;
     outcome.colouring_trials_per_call = approx->colouring_trials_per_call;
     outcome.parallel = approx->parallel;
     return outcome;

@@ -84,13 +84,15 @@ struct ExecContext {
 /// What every strategy reports back (estimate/exact/converged from the
 /// shared EstimateOutcome contract).
 struct ExecOutcome : EstimateOutcome {
-  /// Oracle work: hom-oracle calls plus estimator membership tests.
+  /// Estimator probes: DLM edge-free calls or automata membership tests.
+  /// Deterministic (a pure function of the request, at any lane count):
+  /// the adaptive scheduler's cost model and the shape profiles read it.
   uint64_t oracle_calls = 0;
-  /// Deterministic estimator probes only (DLM edge-free calls, automata
-  /// membership tests) — excludes the scheduling-dependent hom-query
-  /// tally. The adaptive scheduler's cost model reads ONLY this counter,
-  /// keeping its accuracy decisions lane-count-independent.
-  uint64_t estimator_calls = 0;
+  /// Hom-oracle decisions behind those probes (colour-coding trials,
+  /// including speculative frontier probes at more than one lane).
+  /// Depends on the lane count: reported only, never fed to a profile,
+  /// the scheduler or an equality check.
+  uint64_t nondet_hom_queries = 0;
   /// Prepared-DP reuse across the DLM oracle calls of this execution
   /// (fptras strategies): trial decisions answered by the trial-reuse DP
   /// and the size of the per-plan bag-join cache they shared. Zero for

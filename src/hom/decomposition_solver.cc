@@ -264,6 +264,15 @@ struct SolverEvalContext::Impl {
   // assertion and lane fallback sync).
   uint64_t generation = 0;
 
+  // --- DpStats tallies (single writer: the thread using this context) -----
+  DecompositionSolver* owner = nullptr;  // Registered by NewContext.
+  std::atomic<uint64_t> prepare_calls{0};
+  std::atomic<uint64_t> prepared_decides{0};
+
+  ~Impl() {
+    if (owner != nullptr) owner->RetireContext(*this);
+  }
+
   // --- Trial scratch (owned by the evaluating lane) ------------------------
   bool trial_configured = false;
   std::vector<FlatTuples> trial_survivors;
@@ -276,6 +285,17 @@ struct SolverEvalContext::Impl {
   SavedDomains fallback_saved;
   uint64_t fallback_sync_generation = 0;
 };
+
+namespace {
+
+// Relaxed single-writer increment: no locked read-modify-write on the
+// trial path.
+void Bump(std::atomic<uint64_t>& counter) {
+  counter.store(counter.load(std::memory_order_relaxed) + 1,
+                std::memory_order_relaxed);
+}
+
+}  // namespace
 
 SolverEvalContext::SolverEvalContext() : impl_(std::make_unique<Impl>()) {}
 SolverEvalContext::~SolverEvalContext() = default;
@@ -507,23 +527,44 @@ bool DecompositionSolver::EnsureBagRowCache() {
   return true;
 }
 
+std::unique_ptr<SolverEvalContext> DecompositionSolver::NewContext() {
+  std::unique_ptr<SolverEvalContext> ctx(new SolverEvalContext());
+  std::lock_guard<std::mutex> lock(contexts_mu_);
+  ctx->impl_->owner = this;
+  contexts_.push_back(ctx->impl_.get());
+  return ctx;
+}
+
+void DecompositionSolver::RetireContext(const SolverEvalContext::Impl& ctx) {
+  std::lock_guard<std::mutex> lock(contexts_mu_);
+  retired_prepare_calls_ += ctx.prepare_calls.load(std::memory_order_relaxed);
+  retired_prepared_decides_ +=
+      ctx.prepared_decides.load(std::memory_order_relaxed);
+  contexts_.erase(std::find(contexts_.begin(), contexts_.end(), &ctx));
+}
+
 std::unique_ptr<SolverEvalContext> DecompositionSolver::CreateEvalContext() {
-  return std::unique_ptr<SolverEvalContext>(new SolverEvalContext());
+  return NewContext();
 }
 
 SolverEvalContext::Impl& DecompositionSolver::DefaultContext() {
   std::lock_guard<std::mutex> lock(default_ctx_mu_);
-  if (default_ctx_ == nullptr) {
-    default_ctx_ = std::unique_ptr<SolverEvalContext>(new SolverEvalContext());
-  }
+  if (default_ctx_ == nullptr) default_ctx_ = NewContext();
   return *default_ctx_->impl_;
 }
 
 DecompositionSolver::DpStats DecompositionSolver::dp_stats() const {
   DpStats stats;
-  stats.prepare_calls = stat_prepare_calls_.load(std::memory_order_relaxed);
-  stats.prepared_decides =
-      stat_prepared_decides_.load(std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> lock(contexts_mu_);
+    stats.prepare_calls = retired_prepare_calls_;
+    stats.prepared_decides = retired_prepared_decides_;
+    for (const SolverEvalContext::Impl* ctx : contexts_) {
+      stats.prepare_calls += ctx->prepare_calls.load(std::memory_order_relaxed);
+      stats.prepared_decides +=
+          ctx->prepared_decides.load(std::memory_order_relaxed);
+    }
+  }
   stats.cached_bag_rows = stat_cached_bag_rows_.load(std::memory_order_relaxed);
   stats.prepared_path = stat_prepared_path_.load(std::memory_order_relaxed);
   return stats;
@@ -558,7 +599,7 @@ PreparedDp DecompositionSolver::PrepareOn(
     }
     return prepared;
   }
-  stat_prepare_calls_.fetch_add(1, std::memory_order_relaxed);
+  Bump(sc.prepare_calls);
   sc.fallback = false;
 
   const int num_nodes = td_.num_nodes();
@@ -834,7 +875,7 @@ bool DecompositionSolver::DecidePrepared(
     return verdict;
   }
 
-  stat_prepared_decides_.fetch_add(1, std::memory_order_relaxed);
+  Bump(trial.prepared_decides);
   if (sc.always_false) return false;
   const int root = td_.root;
   // No overlay anywhere: the Prepare-time pass already established the

@@ -184,6 +184,7 @@ class DecompositionSolver {
 
  private:
   friend class PreparedDp;
+  friend struct SolverEvalContext::Impl;  // Retires its tallies.
 
   // Shared bottom-up pass. If `total` is null, performs the decision
   // variant; otherwise computes per-tuple extension counts.
@@ -234,16 +235,27 @@ class DecompositionSolver {
     std::vector<uint32_t> starts;  // universe_size + 1 offsets.
   };
   std::vector<std::vector<ColIndex>> bag_col_index_;
+  // Registers a new context's DpStats tallies (read by dp_stats()).
+  std::unique_ptr<SolverEvalContext> NewContext();
+  // Folds a dying context's tallies into the retired totals.
+  void RetireContext(const SolverEvalContext::Impl& ctx);
+
+  Options opts_;
+  // Prepare/decide tallies live per context (single writer each, so lanes
+  // never share a written cache line); dp_stats() sums the live contexts
+  // and the totals of destroyed ones. Declared before default_ctx_, which
+  // retires into them on destruction.
+  mutable std::mutex contexts_mu_;
+  std::vector<const SolverEvalContext::Impl*> contexts_;
+  uint64_t retired_prepare_calls_ = 0;
+  uint64_t retired_prepared_decides_ = 0;
+  std::atomic<uint64_t> stat_cached_bag_rows_{0};
+  std::atomic<bool> stat_prepared_path_{true};
   // Default evaluation context backing the context-free API.
   std::unique_ptr<SolverEvalContext> default_ctx_;
   std::mutex default_ctx_mu_;  // Guards lazy creation only.
-  std::atomic<uint64_t> prepare_generation_{0};
-  Options opts_;
-  // Aggregated DpStats counters (atomic: contexts update concurrently).
-  std::atomic<uint64_t> stat_prepare_calls_{0};
-  std::atomic<uint64_t> stat_prepared_decides_{0};
-  std::atomic<uint64_t> stat_cached_bag_rows_{0};
-  std::atomic<bool> stat_prepared_path_{true};
+  // Bumped once per Prepare by every lane: on its own cache line.
+  alignas(64) std::atomic<uint64_t> prepare_generation_{0};
 };
 
 }  // namespace cqcount

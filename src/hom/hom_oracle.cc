@@ -52,26 +52,34 @@ class DecompositionHomContext : public HomContext {
   std::unique_ptr<SolverEvalContext> ctx_;
 };
 
-// Prepared decisions delegated to the solver's trial-reuse DP.
+// Prepared decisions delegated to the solver's trial-reuse DP. Decisions
+// are tallied on the evaluating context when there is one (no shared
+// write per trial), else on the owning oracle.
 class DecompositionPreparedHom : public PreparedHom {
  public:
-  DecompositionPreparedHom(HomOracle* owner, PreparedDp prepared)
-      : owner_(owner), prepared_(std::move(prepared)) {}
+  DecompositionPreparedHom(HomOracle* owner, HomContext* ctx,
+                           PreparedDp prepared)
+      : owner_(owner), ctx_(ctx), prepared_(std::move(prepared)) {}
 
   bool Decide(const std::vector<DomainRestriction>& extra) override {
-    owner_->RecordPreparedDecide();
+    if (ctx_ != nullptr) {
+      ctx_->RecordDecide();
+    } else {
+      owner_->RecordPreparedDecide();
+    }
     return prepared_.Decide(extra);
   }
 
   bool Decide(const std::vector<DomainRestriction>& extra,
               HomContext& lane) override {
-    owner_->RecordPreparedDecide();
+    lane.RecordDecide();
     return prepared_.Decide(extra,
                             static_cast<DecompositionHomContext&>(lane).ctx());
   }
 
  private:
   HomOracle* owner_;
+  HomContext* ctx_;
   PreparedDp prepared_;
 };
 
@@ -91,6 +99,34 @@ BagJoiner::Options FullJoinOptions() {
 
 }  // namespace
 
+HomContext::~HomContext() {
+  if (owner_ != nullptr) owner_->Retire(*this);
+}
+
+uint64_t HomOracle::num_calls() const {
+  std::lock_guard<std::mutex> lock(contexts_mu_);
+  uint64_t total = num_calls_.load(std::memory_order_relaxed);
+  for (const HomContext* ctx : contexts_) {
+    total += ctx->decides_.load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
+std::unique_ptr<HomContext> HomOracle::Adopt(std::unique_ptr<HomContext> ctx) {
+  if (ctx == nullptr) return ctx;
+  std::lock_guard<std::mutex> lock(contexts_mu_);
+  ctx->owner_ = this;
+  contexts_.push_back(ctx.get());
+  return ctx;
+}
+
+void HomOracle::Retire(const HomContext& ctx) {
+  std::lock_guard<std::mutex> lock(contexts_mu_);
+  num_calls_.fetch_add(ctx.decides_.load(std::memory_order_relaxed),
+                       std::memory_order_relaxed);
+  contexts_.erase(std::find(contexts_.begin(), contexts_.end(), &ctx));
+}
+
 std::unique_ptr<PreparedHom> HomOracle::Prepare(
     const VarDomains& base, std::vector<int> overlay_vars) {
   // num_vars is unknown at this level; size the domain vector to cover
@@ -106,7 +142,7 @@ std::unique_ptr<PreparedHom> HomOracle::Prepare(
 std::unique_ptr<PreparedHom> DecompositionHomOracle::Prepare(
     const VarDomains& base, std::vector<int> overlay_vars) {
   return std::make_unique<DecompositionPreparedHom>(
-      this, solver_.Prepare(base, overlay_vars));
+      this, nullptr, solver_.Prepare(base, overlay_vars));
 }
 
 std::unique_ptr<PreparedHom> DecompositionHomOracle::Prepare(
@@ -114,11 +150,12 @@ std::unique_ptr<PreparedHom> DecompositionHomOracle::Prepare(
   if (ctx == nullptr) return Prepare(base, std::move(overlay_vars));
   auto& dctx = static_cast<DecompositionHomContext&>(*ctx);
   return std::make_unique<DecompositionPreparedHom>(
-      this, solver_.Prepare(base, overlay_vars, dctx.ctx()));
+      this, ctx, solver_.Prepare(base, overlay_vars, dctx.ctx()));
 }
 
 std::unique_ptr<HomContext> DecompositionHomOracle::CreateContext() {
-  return std::make_unique<DecompositionHomContext>(solver_.CreateEvalContext());
+  return Adopt(
+      std::make_unique<DecompositionHomContext>(solver_.CreateEvalContext()));
 }
 
 BacktrackingHomOracle::BacktrackingHomOracle(const Query& q,

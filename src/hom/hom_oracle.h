@@ -22,15 +22,16 @@
 // another context's mutable state, so worker lanes holding distinct
 // contexts may prepare and decide concurrently against one oracle (the
 // decomposition oracle maps contexts onto SolverEvalContexts; the shared
-// bag-join row cache is immutable). Within a single prepared call, trials
-// may also fan out: Decide(extra, lane) evaluates with the lane context's
-// trial scratch against the prepared (read-only) call state.
+// bag-join row cache is immutable). Decide(extra, lane) evaluates one
+// trial with another context's trial scratch against the prepared
+// (read-only) call state.
 #ifndef CQCOUNT_HOM_HOM_ORACLE_H_
 #define CQCOUNT_HOM_HOM_ORACLE_H_
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "decomposition/tree_decomposition.h"
@@ -41,12 +42,30 @@
 
 namespace cqcount {
 
+class HomOracle;
+
 /// Opaque per-worker state for concurrent oracle use. Obtained from
 /// HomOracle::CreateContext; one context must never be used by two
-/// threads at once.
+/// threads at once, and must not outlive its oracle. It also carries the
+/// worker's decide tally, so lanes never write a shared counter: the
+/// owning oracle folds live tallies into num_calls() when read and
+/// retired ones when the context is destroyed.
 class HomContext {
  public:
-  virtual ~HomContext() = default;
+  HomContext() = default;
+  virtual ~HomContext();
+
+  /// Counts one decision served on this context (single writer: the
+  /// thread using the context).
+  void RecordDecide() {
+    decides_.store(decides_.load(std::memory_order_relaxed) + 1,
+                   std::memory_order_relaxed);
+  }
+
+ private:
+  friend class HomOracle;
+  HomOracle* owner_ = nullptr;  // Set by HomOracle::Adopt.
+  std::atomic<uint64_t> decides_{0};
 };
 
 /// A Hom instance with base domains fixed; each Decide overlays a small
@@ -106,13 +125,12 @@ class HomOracle {
   /// concurrently.
   virtual bool SupportsConcurrentDecides() const { return false; }
 
-  /// Number of decisions served so far (plain and prepared).
-  uint64_t num_calls() const {
-    return num_calls_.load(std::memory_order_relaxed);
-  }
+  /// Number of decisions served so far (plain and prepared, summed over
+  /// the oracle's own counter and every context it minted).
+  uint64_t num_calls() const;
 
-  /// Internal: lets PreparedHom implementations attribute their decisions
-  /// to the owning oracle's call counter.
+  /// Internal: lets context-free PreparedHom implementations attribute
+  /// their decisions to the owning oracle's call counter.
   void RecordPreparedDecide() {
     num_calls_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -120,7 +138,18 @@ class HomOracle {
  protected:
   void RecordDecide() { num_calls_.fetch_add(1, std::memory_order_relaxed); }
 
+  /// Registers a freshly minted context so its decide tally folds into
+  /// num_calls(). CreateContext overrides return through this.
+  std::unique_ptr<HomContext> Adopt(std::unique_ptr<HomContext> ctx);
+
   std::atomic<uint64_t> num_calls_{0};
+
+ private:
+  friend class HomContext;
+  void Retire(const HomContext& ctx);
+
+  mutable std::mutex contexts_mu_;
+  std::vector<const HomContext*> contexts_;  // Live adopted contexts.
 };
 
 /// Polynomial-time oracle via tree-decomposition DP (Theorem 31 engine; the

@@ -48,8 +48,7 @@ std::string QueryProfile::ToJson() const {
 }
 
 void ShapeProfile::Observe(double exec_millis, uint64_t oracle_calls,
-                           uint64_t estimator_calls, double estimate,
-                           bool converged) {
+                           double estimate, bool converged) {
   if (runs == 0) {
     min_exec_millis = exec_millis;
     max_exec_millis = exec_millis;
@@ -62,7 +61,6 @@ void ShapeProfile::Observe(double exec_millis, uint64_t oracle_calls,
   sq_exec_millis += exec_millis * exec_millis;
   last_exec_millis = exec_millis;
   total_oracle_calls += oracle_calls;
-  total_estimator_calls += estimator_calls;
   if (converged) ++converged_runs;
   last_estimate = estimate;
 }
@@ -85,7 +83,6 @@ std::string ShapeProfile::ToJson() const {
   json.Key("min_exec_ms").Double(min_exec_millis);
   json.Key("max_exec_ms").Double(max_exec_millis);
   json.Key("total_oracle_calls").Uint(total_oracle_calls);
-  json.Key("total_estimator_calls").Uint(total_estimator_calls);
   json.Key("converged_runs").Uint(converged_runs);
   json.Key("last_estimate").Double(last_estimate);
   json.EndObject();

@@ -67,34 +67,22 @@ struct ShapeProfile {
   double last_exec_millis = 0.0;
   double min_exec_millis = 0.0;
   double max_exec_millis = 0.0;
-  uint64_t total_oracle_calls = 0;
   /// Deterministic estimator probes (DLM edge-free calls / membership
-  /// tests) — excludes strategy-specific hom-query work. The scheduler's
-  /// budget split reads ONLY this counter; trials budgeting additionally
-  /// reads the oracle-call tally (itself lane-invariant and fixed-seed
-  /// reproducible), so adaptive results stay reproducible at every lane
-  /// count; wall-clock fields drive scheduling-only decisions (lane
-  /// grants).
-  uint64_t total_estimator_calls = 0;
+  /// tests; never lane-dependent hom-oracle work). The scheduler's budget
+  /// split and trials budgeting read only this, so adaptive results stay
+  /// reproducible at every lane count; wall-clock fields drive
+  /// scheduling-only decisions (lane grants).
+  uint64_t total_oracle_calls = 0;
   uint64_t converged_runs = 0;
   double last_estimate = 0.0;
 
-  void Observe(double exec_millis, uint64_t oracle_calls,
-               uint64_t estimator_calls, double estimate, bool converged);
+  void Observe(double exec_millis, uint64_t oracle_calls, double estimate,
+               bool converged);
   double MeanExecMillis() const {
     return runs == 0 ? 0.0 : total_exec_millis / static_cast<double>(runs);
   }
-  /// Mean deterministic estimator probes per execution (the scheduler's
+  /// Mean estimator probes per execution (the scheduler's
   /// cost-per-execution signal; 0 before any observation).
-  double MeanEstimatorCalls() const {
-    return runs == 0 ? 0.0 : static_cast<double>(total_estimator_calls) /
-                                 static_cast<double>(runs);
-  }
-  /// Mean oracle calls per execution — includes strategy-specific work
-  /// the estimator-call counter excludes (colour-coding hom queries).
-  /// Lane-invariant and fixed-seed reproducible (the benches pin this),
-  /// so trials budgeting may read it without breaking the determinism
-  /// contract.
   double MeanOracleCalls() const {
     return runs == 0 ? 0.0 : static_cast<double>(total_oracle_calls) /
                                  static_cast<double>(runs);

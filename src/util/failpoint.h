@@ -2,8 +2,9 @@
 //
 // A failpoint is a named site compiled into production code (oracle
 // prepare, bag-cache build, executor task spawn, database registration,
-// DLM run boundaries). Unarmed — the only state the library ships in —
-// every site costs one relaxed atomic load of a global arm counter.
+// DLM frontier steps and run boundaries). Unarmed — the only state the
+// library ships in — every site costs one relaxed atomic load of a global
+// arm counter.
 // Tests arm sites by name to:
 //   - inject a typed error Status (spurious failures),
 //   - run a callback at the k-th hit (e.g. cancel a CancelToken or

@@ -311,6 +311,46 @@ TEST_F(GovernanceTest, QuiescentGovernanceIsBitIdenticalAcrossLanes) {
   }
 }
 
+TEST_F(GovernanceTest, InterruptDuringFrontierExpansionIsTyped) {
+  // Fires in the middle of DLM's frontier expansion (past the exact
+  // phase's 16-box split, before any sampling run): no run completed, so
+  // the request fails with the governor's typed cause. At 4 lanes the
+  // interruption lands while speculative probe batches are in flight;
+  // the deadline variant is first observed by an oracle's trial-loop
+  // checkpoint, possibly on a worker lane inside a batch.
+  for (int lanes : {1, 4}) {
+    for (bool cancel : {true, false}) {
+      EngineOptions opts;
+      opts.intra_query_threads = lanes;
+      opts.intra_query_min_cost = 0.0;  // Fan out regardless of cost.
+      CountingEngine engine(opts);
+      ASSERT_TRUE(engine.RegisterDatabase("g", CycleDb()).ok());
+      ManualClock clock(0);
+      CountRequest request = SamplingRequest();
+      request.time_budget_ms = 1000;
+      request.clock = &clock;
+      // The exact phase's split into 16 boxes takes a few dozen steps, so
+      // step 201 belongs to the frontier expansion proper.
+      failpoint::Config config;
+      config.skip = 200;
+      config.max_fires = 1;
+      if (cancel) {
+        config.on_fire = [token = request.cancel_token] { token.Cancel(); };
+      } else {
+        config.on_fire = [&clock] { clock.Advance(10'000); };
+      }
+      failpoint::ScopedFailpoint fp("dlm.frontier_step", config);
+      auto result = engine.Count(request);
+      ASSERT_EQ(failpoint::FireCount("dlm.frontier_step"), 1u)
+          << "query never reached the DLM frontier expansion";
+      ASSERT_FALSE(result.ok()) << "lanes=" << lanes << " cancel=" << cancel;
+      EXPECT_EQ(result.status().code(), cancel ? StatusCode::kCancelled
+                                               : StatusCode::kDeadlineExceeded)
+          << result.status().ToString();
+    }
+  }
+}
+
 TEST_F(GovernanceTest, RandomCancelPointsKeepAnytimeInvariants) {
   // Property sweep: wherever cancellation lands (k completed runs for
   // cut points spread across the run schedule), the partial's interval

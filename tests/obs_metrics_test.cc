@@ -166,6 +166,7 @@ TEST(MetricsTest, GlobalRegistryCoversEverySubsystem) {
         "engine.counts", "executor.tasks_submitted", "executor.queue_depth",
         "dlm.estimates", "dlm.oracle_calls", "dlm.abandoned_waves",
         "dp.prepared_decides", "cc.nondet.hom_queries",
+        "dlm.nondet.speculative_probes",
         "acjr.membership_tests", "sampler.samples",
         "scheduler.budget_splits", "scheduler.early_stops",
         "dlm.early_stops"}) {

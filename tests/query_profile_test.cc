@@ -103,23 +103,21 @@ TEST(QueryProfileTest, ExplainExposesObservedShapeHistory) {
 
 TEST(QueryProfileTest, ShapeProfileAccumulatesObservations) {
   obs::ShapeProfile profile;
-  profile.Observe(2.0, 10, 8, 42.0, true);
-  profile.Observe(4.0, 20, 12, 43.0, false);
+  profile.Observe(2.0, 10, 42.0, true);
+  profile.Observe(4.0, 20, 43.0, false);
   EXPECT_EQ(profile.runs, 2u);
   EXPECT_DOUBLE_EQ(profile.MeanExecMillis(), 3.0);
   EXPECT_DOUBLE_EQ(profile.VarianceExecMillis(), 1.0);
   EXPECT_EQ(profile.min_exec_millis, 2.0);
   EXPECT_EQ(profile.max_exec_millis, 4.0);
   EXPECT_EQ(profile.total_oracle_calls, 30u);
-  EXPECT_EQ(profile.total_estimator_calls, 20u);
-  EXPECT_DOUBLE_EQ(profile.MeanEstimatorCalls(), 10.0);
+  EXPECT_DOUBLE_EQ(profile.MeanOracleCalls(), 15.0);
   EXPECT_EQ(profile.converged_runs, 1u);
   EXPECT_EQ(profile.last_estimate, 43.0);
   const std::string json = profile.ToJson();
   for (const char* key :
        {"\"runs\"", "\"mean_exec_ms\"", "\"total_oracle_calls\"",
-        "\"total_estimator_calls\"", "\"converged_runs\"",
-        "\"last_estimate\""}) {
+        "\"converged_runs\"", "\"last_estimate\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << "missing " << key;
   }
 }

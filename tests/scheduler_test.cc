@@ -34,12 +34,11 @@ QueryPlan EstimatedPlan(double cost) {
   return plan;
 }
 
-obs::ShapeProfile WarmProfile(int runs, double millis, uint64_t estimator_calls,
-                              uint64_t oracle_calls = 0) {
+obs::ShapeProfile WarmProfile(int runs, double millis,
+                              uint64_t oracle_calls) {
   obs::ShapeProfile profile;
   for (int i = 0; i < runs; ++i) {
-    profile.Observe(millis, oracle_calls ? oracle_calls : estimator_calls,
-                    estimator_calls, 42.0, true);
+    profile.Observe(millis, oracle_calls, 42.0, true);
   }
   return profile;
 }
@@ -60,10 +59,10 @@ TEST(CostModelTest, ColdShapeUsesPlanEstimate) {
 TEST(CostModelTest, WarmShapeUsesObservedHistory) {
   AdaptiveScheduler scheduler;
   CostPrediction warm =
-      scheduler.Predict(EstimatedPlan(5000.0), WarmProfile(3, 7.0, 900, 1200));
+      scheduler.Predict(EstimatedPlan(5000.0), WarmProfile(3, 7.0, 900));
   EXPECT_EQ(warm.source, CostSource::kObservedProfile);
-  EXPECT_DOUBLE_EQ(warm.cost_units, 900.0);   // Mean estimator calls.
-  EXPECT_DOUBLE_EQ(warm.oracle_calls, 1200.0);
+  EXPECT_DOUBLE_EQ(warm.cost_units, 900.0);  // Mean oracle calls.
+  EXPECT_DOUBLE_EQ(warm.oracle_calls, 900.0);
   EXPECT_DOUBLE_EQ(warm.millis, 7.0);
 }
 
