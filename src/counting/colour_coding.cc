@@ -34,68 +34,60 @@ std::vector<int> EndpointVars(const Query& q) {
 
 namespace internal {
 
-// Per-trial overlay builder: one packed mask per endpoint variable,
-// intersected across the disequalities that constrain it. Buffers are
-// reused across trials and oracle calls (no per-trial allocation after
-// warm-up). Draw() output is valid until the next Draw().
-class TrialOverlay {
- public:
-  explicit TrialOverlay(const Query& q)
-      : disequalities_(q.disequalities()), endpoint_vars_(EndpointVars(q)) {
-    masks_.resize(endpoint_vars_.size());
-    slot_of_.assign(static_cast<size_t>(q.num_vars()), -1);
-    for (size_t k = 0; k < endpoint_vars_.size(); ++k) {
-      slot_of_[static_cast<size_t>(endpoint_vars_[k])] =
-          static_cast<int>(k);
+TrialOverlay::TrialOverlay(const Query& q)
+    : disequalities_(q.disequalities()), endpoint_vars_(EndpointVars(q)) {
+  masks_.resize(endpoint_vars_.size());
+  slot_of_.assign(static_cast<size_t>(q.num_vars()), -1);
+  for (size_t k = 0; k < endpoint_vars_.size(); ++k) {
+    slot_of_[static_cast<size_t>(endpoint_vars_[k])] = static_cast<int>(k);
+  }
+}
+
+const std::vector<DomainRestriction>& TrialOverlay::Draw(Rng& rng,
+                                                         uint32_t universe) {
+  touched_.assign(masks_.size(), 0);
+  const size_t words = (static_cast<size_t>(universe) + 63) / 64;
+  // A local copy of the stream keeps the generator state in registers
+  // (writes through the mask words could otherwise alias it).
+  Rng stream = rng;
+  for (const Disequality& d : disequalities_) {
+    // f_eta : U(D) -> {r, b} uniformly at random; the smaller endpoint
+    // must land red, the larger blue (Definition 26's R_eta / B_eta).
+    // Each 64-element word of f_eta is drawn once and written straight
+    // into both endpoint masks (assigned on a mask's first touch this
+    // trial, intersected after), so no colouring is materialised.
+    bool red_first = false;
+    bool blue_first = false;
+    Bitset& red_mask = Touch(d.lhs, universe, &red_first);
+    Bitset& blue_mask = Touch(d.rhs, universe, &blue_first);
+    uint64_t* red = red_mask.mutable_words();
+    uint64_t* blue = blue_mask.mutable_words();
+    for (size_t w = 0; w < words; ++w) {
+      const uint64_t r = stream.Next();
+      red[w] = red_first ? r : red[w] & r;
+      blue[w] = blue_first ? ~r : blue[w] & ~r;
+    }
+    if (words > 0) {
+      red[words - 1] &= red_mask.TailMask();
+      blue[words - 1] &= blue_mask.TailMask();
     }
   }
-
-  const std::vector<int>& endpoint_vars() const { return endpoint_vars_; }
-
-  /// Draws one colouring per disequality from `rng` (the per-trial
-  /// derived stream) and returns the merged per-endpoint restrictions.
-  /// The views are valid until the next Draw().
-  const std::vector<DomainRestriction>& Draw(Rng& rng, uint32_t universe) {
-    touched_.assign(masks_.size(), 0);
-    for (const Disequality& d : disequalities_) {
-      // f_eta : U(D) -> {r, b} uniformly at random; the smaller endpoint
-      // must land red, the larger blue (Definition 26's R_eta / B_eta).
-      rng.RandomMaskInto(colouring_, universe, 0.5);
-      Apply(d.lhs, /*want_red=*/true);
-      Apply(d.rhs, /*want_red=*/false);
-    }
-    restrictions_.clear();
-    for (size_t k = 0; k < masks_.size(); ++k) {
-      restrictions_.push_back({endpoint_vars_[k], &masks_[k]});
-    }
-    return restrictions_;
+  rng = stream;
+  restrictions_.clear();
+  for (size_t k = 0; k < masks_.size(); ++k) {
+    restrictions_.push_back({endpoint_vars_[k], &masks_[k]});
   }
+  return restrictions_;
+}
 
- private:
-  void Apply(int var, bool want_red) {
-    const int slot = slot_of_[static_cast<size_t>(var)];
-    Bitset& mask = masks_[static_cast<size_t>(slot)];
-    if (!touched_[static_cast<size_t>(slot)]) {
-      mask = colouring_;
-      if (!want_red) mask.FlipAll();
-      touched_[static_cast<size_t>(slot)] = 1;
-      return;
-    }
-    if (want_red) {
-      mask.IntersectWith(colouring_);
-    } else {
-      mask.IntersectWithComplement(colouring_);
-    }
-  }
-
-  const std::vector<Disequality>& disequalities_;
-  std::vector<int> endpoint_vars_;
-  std::vector<int> slot_of_;
-  std::vector<Bitset> masks_;
-  std::vector<char> touched_;
-  std::vector<DomainRestriction> restrictions_;
-  Bitset colouring_;
-};
+Bitset& TrialOverlay::Touch(int var, uint32_t universe, bool* first) {
+  const size_t slot = static_cast<size_t>(slot_of_[static_cast<size_t>(var)]);
+  *first = !touched_[slot];
+  touched_[slot] = 1;
+  Bitset& mask = masks_[slot];
+  if (mask.size() != universe) mask.Assign(universe, false);
+  return mask;
+}
 
 }  // namespace internal
 

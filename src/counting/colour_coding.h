@@ -45,7 +45,38 @@
 namespace cqcount {
 
 namespace internal {
-class TrialOverlay;
+
+/// Per-trial overlay builder: one packed mask per disequality endpoint
+/// variable, intersected across the disequalities that constrain it.
+/// Buffers are reused across trials and oracle calls (no per-trial
+/// allocation after warm-up).
+class TrialOverlay {
+ public:
+  explicit TrialOverlay(const Query& q);
+
+  /// The disequality endpoint variables (sorted, duplicate-free): the only
+  /// variables whose domains change across colouring trials.
+  const std::vector<int>& endpoint_vars() const { return endpoint_vars_; }
+
+  /// Draws one colouring per disequality from `rng` (ceil(universe/64)
+  /// outputs each, bit i of a colouring being bit i%64 of draw i/64, as
+  /// Rng::RandomMaskInto lays it out) and returns the merged per-endpoint
+  /// restrictions. The views are valid until the next Draw().
+  const std::vector<DomainRestriction>& Draw(Rng& rng, uint32_t universe);
+
+ private:
+  // The mask of `var`, sized to `universe`; `*first` reports whether this
+  // is its first touch in the current trial.
+  Bitset& Touch(int var, uint32_t universe, bool* first);
+
+  const std::vector<Disequality>& disequalities_;
+  std::vector<int> endpoint_vars_;
+  std::vector<int> slot_of_;
+  std::vector<Bitset> masks_;
+  std::vector<char> touched_;
+  std::vector<DomainRestriction> restrictions_;
+};
+
 }  // namespace internal
 
 /// Tuning for the colour-coding simulation.

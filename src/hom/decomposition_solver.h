@@ -216,8 +216,7 @@ class DecompositionSolver {
   // within the parent bag (indexed by child node).
   std::vector<std::vector<int>> shared_in_child_;
   std::vector<std::vector<int>> shared_in_parent_;
-  // Pre-projected per-bag joiners: the (domain-independent) projection
-  // work is hoisted here.
+  // Per-bag joiners over the database's memoised atom projections.
   std::vector<BagJoiner> joiners_;
   // Per-solver cache of unrestricted bag joins (step 1 of the split),
   // shared and immutable after the build completes.

@@ -57,45 +57,28 @@ BagJoiner::BagJoiner(const Query& q, const Database& db,
         if (level_of[v] >= 0) level_to_var[level_of[v]] = v;
       }
       if (level_to_var.empty()) continue;
-      // First predicate-position of each involved variable.
-      std::vector<int> first_pos;
+      // The atom's projection onto its involved variables in level order
+      // (first predicate-position of each), keeping only facts whose
+      // repeated-variable positions agree. Memoised by the database.
+      ProjectionSpec spec;
       std::vector<int> levels;
       for (const auto& [level, var] : level_to_var) {
-        int pos = -1;
-        for (size_t p = 0; p < atom.vars.size(); ++p) {
-          if (atom.vars[p] == var) {
-            pos = static_cast<int>(p);
-            break;
-          }
-        }
-        first_pos.push_back(pos);
+        spec.positions.push_back(static_cast<int>(
+            std::find(atom.vars.begin(), atom.vars.end(), var) -
+            atom.vars.begin()));
         levels.push_back(level);
       }
-      // Repeated-variable position pairs that must agree within a fact.
-      std::vector<std::pair<int, int>> equal_pairs;
       for (size_t p = 0; p < atom.vars.size(); ++p) {
         for (size_t p2 = p + 1; p2 < atom.vars.size(); ++p2) {
           if (atom.vars[p] == atom.vars[p2]) {
-            equal_pairs.push_back({static_cast<int>(p), static_cast<int>(p2)});
+            spec.equal_pairs.push_back(
+                {static_cast<int>(p), static_cast<int>(p2)});
           }
         }
       }
-      // Project into flat storage, filtering inconsistent facts.
-      Relation projection(static_cast<int>(levels.size()));
-      for (TupleView t : rel) {
-        bool consistent = true;
-        for (const auto& [p, p2] : equal_pairs) {
-          if (t[p] != t[p2]) {
-            consistent = false;
-            break;
-          }
-        }
-        if (!consistent) continue;
-        Value* dst = projection.AppendRow();
-        for (size_t k = 0; k < first_pos.size(); ++k) dst[k] = t[first_pos[k]];
-      }
-      projection.Canonicalize();
-      if (projection.empty()) {
+      std::shared_ptr<const Relation> projection =
+          db.Projection(atom.relation, spec);
+      if (projection->empty()) {
         infeasible_ = true;
         continue;
       }
@@ -150,7 +133,7 @@ bool BagJoiner::Enumerate(
       constraints_.size());
   for (size_t c = 0; c < constraints_.size(); ++c) {
     ranges[c].reserve(depth + 1);
-    ranges[c].push_back({0, constraints_[c].projection.size()});
+    ranges[c].push_back({0, constraints_[c].projection->size()});
   }
   Tuple assignment(depth, 0);
   // assignment_by_var lets negated-atom checks read values by variable id.
@@ -200,7 +183,7 @@ bool BagJoiner::Enumerate(
         pivot_col = k;
       }
     }
-    const Relation& pivot_rel = constraints_[pivot].projection;
+    const Relation& pivot_rel = *constraints_[pivot].projection;
     auto [plo, phi] = ranges[pivot].back();
 
     size_t pos = plo;
@@ -220,7 +203,7 @@ bool BagJoiner::Enumerate(
         const auto [lo, hi] = ranges[c].back();
         const auto narrowed =
             c == pivot ? std::make_pair(wlo, whi)
-                       : constraints_[c].projection.NarrowRange(
+                       : constraints_[c].projection->NarrowRange(
                              lo, hi, static_cast<size_t>(k), w);
         if (narrowed.first == narrowed.second) {
           ok = false;

@@ -15,6 +15,7 @@
 #define CQCOUNT_HOM_JOIN_H_
 
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "query/query.h"
@@ -75,9 +76,13 @@ class BagJoiner {
   };
 
   /// `vars`: the (ordered, duplicate-free) variables to assign. The query
-  /// and database must outlive the joiner. Construction projects and
-  /// sorts the constraint relations once; per-variable domains (which
-  /// change per colour-coding trial) are passed to Enumerate.
+  /// and database must outlive the joiner, and the database must not be
+  /// mutated while it lives. Construction fetches each positive atom's
+  /// projection from the database's memo (Structure::Projection): an
+  /// alias of the relation when the atom reads it whole and in order,
+  /// otherwise a projection built once per database and shared by every
+  /// joiner over it. Per-variable domains (which change per colour-coding
+  /// trial) are passed to Enumerate.
   BagJoiner(const Query& q, const Database& db, std::vector<int> vars,
             Options opts);
 
@@ -99,7 +104,7 @@ class BagJoiner {
 
  private:
   struct Constraint {
-    Relation projection;           // Columns ordered by level.
+    std::shared_ptr<const Relation> projection;  // Columns by level.
     std::vector<int> levels;       // Ascending depths the columns bind.
   };
   struct NegatedCheck {

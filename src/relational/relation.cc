@@ -8,18 +8,38 @@
 namespace cqcount {
 namespace {
 
-// True when the staged rows are already sorted and duplicate-free — the
-// common case for trie-join enumeration output, which is emitted in
-// lexicographic order. Checking costs one linear pass and saves the sort.
-bool IsCanonicalOrder(const std::vector<Value>& data, size_t rows,
-                      size_t arity) {
+enum class StagedOrder { kCanonical, kSortedWithDuplicates, kUnsorted };
+
+// Classifies staged rows in one linear pass. Strictly increasing rows are
+// the common case for trie-join enumeration output (emitted in
+// lexicographic order); non-decreasing rows with duplicates are the case
+// for prefix projections of a canonical relation. Neither needs a sort.
+StagedOrder ClassifyOrder(const std::vector<Value>& data, size_t rows,
+                          size_t arity) {
+  bool duplicates = false;
   for (size_t i = 1; i < rows; ++i) {
-    if (CompareValues(data.data() + (i - 1) * arity,
-                      data.data() + i * arity, arity) >= 0) {
-      return false;
-    }
+    const int c = CompareValues(data.data() + (i - 1) * arity,
+                                data.data() + i * arity, arity);
+    if (c > 0) return StagedOrder::kUnsorted;
+    duplicates = duplicates || c == 0;
   }
-  return true;
+  return duplicates ? StagedOrder::kSortedWithDuplicates
+                    : StagedOrder::kCanonical;
+}
+
+// Drops adjacent duplicate rows of a non-decreasing buffer in place;
+// returns the surviving row count.
+size_t DedupeSortedRows(std::vector<Value>& data, size_t rows, size_t arity) {
+  size_t out = 1;
+  for (size_t i = 1; i < rows; ++i) {
+    const Value* row = data.data() + i * arity;
+    Value* last = data.data() + (out - 1) * arity;
+    if (CompareValues(last, row, arity) == 0) continue;
+    std::copy(row, row + arity, last + arity);
+    ++out;
+  }
+  data.resize(out * arity);
+  return out;
 }
 
 }  // namespace
@@ -69,7 +89,15 @@ void Relation::Canonicalize() {
     num_rows_ = num_rows_ > 0 ? 1 : 0;
     return;
   }
-  if (IsCanonicalOrder(data_, num_rows_, arity)) return;
+  switch (ClassifyOrder(data_, num_rows_, arity)) {
+    case StagedOrder::kCanonical:
+      return;
+    case StagedOrder::kSortedWithDuplicates:
+      num_rows_ = DedupeSortedRows(data_, num_rows_, arity);
+      return;
+    case StagedOrder::kUnsorted:
+      break;
+  }
   if (arity_ == 1) {
     std::sort(data_.begin(), data_.end());
     data_.erase(std::unique(data_.begin(), data_.end()), data_.end());
@@ -221,13 +249,20 @@ size_t Relation::GroupEnd(size_t from, size_t to, size_t col) const {
   return lo + simd::UpperBoundStrided(keys + lo * arity, arity, hi - lo, v);
 }
 
-Relation Relation::Project(const std::vector<int>& positions) const {
+Relation Relation::Project(
+    const std::vector<int>& positions,
+    const std::vector<std::pair<int, int>>& equal_pairs) const {
   assert(!dirty_ && "read access to a non-canonical Relation");
   Relation out(static_cast<int>(positions.size()));
   out.data_.reserve(num_rows_ * positions.size());
   const size_t arity = static_cast<size_t>(arity_);
   for (size_t i = 0; i < num_rows_; ++i) {
     const Value* row = base() + i * arity;
+    bool consistent = true;
+    for (const auto& [p, p2] : equal_pairs) {
+      consistent = consistent && row[p] == row[p2];
+    }
+    if (!consistent) continue;
     Value* dst = out.AppendRow();
     for (size_t j = 0; j < positions.size(); ++j) {
       assert(positions[j] >= 0 && positions[j] < arity_);

@@ -307,7 +307,9 @@ class Relation {
 
   /// Sorts lexicographically and removes duplicates. Idempotent; no-op on
   /// an already-canonical relation. Skips the sort when staged rows are
-  /// already in order (the common case for enumeration outputs).
+  /// already in order (the common case for enumeration outputs), and
+  /// dedupes in one linear pass when they are in non-decreasing order
+  /// (prefix projections of a canonical relation).
   void Canonicalize();
 
   /// True if `t` is a member; a tuple of the wrong arity is never a
@@ -398,8 +400,12 @@ class Relation {
   size_t GroupEnd(size_t from, size_t to, size_t col) const;
 
   /// Projects onto the given column positions (in the given order),
-  /// deduplicating the result. Requires canonical.
-  Relation Project(const std::vector<int>& positions) const;
+  /// deduplicating the result. With `equal_pairs`, only the tuples whose
+  /// columns agree on every listed (p, p2) pair are kept (the facts
+  /// consistent with an atom that repeats a variable). Requires canonical.
+  Relation Project(
+      const std::vector<int>& positions,
+      const std::vector<std::pair<int, int>>& equal_pairs = {}) const;
 
   /// Returns the same tuple set with columns permuted: column i of the
   /// result is column `order[i]` of this relation. Requires canonical.

@@ -70,16 +70,6 @@ void Bitset::IntersectWith(const Bitset& other) {
   // other.words_ already (its tail is clear), so no extra masking needed.
 }
 
-void Bitset::IntersectWithComplement(const Bitset& other) {
-  const size_t shared = std::min(words_.size(), other.words_.size());
-  for (size_t w = 0; w < shared; ++w) words_[w] &= ~other.words_[w];
-  // Beyond other's universe ~0 keeps our bits: nothing to do. The shared
-  // boundary word's tail bits of `other` are clear, so ~ sets them — but
-  // only within positions past other's size, which is the intended "absent
-  // from other" reading; our own tail invariant still holds because our
-  // tail bits were already clear.
-}
-
 size_t Bitset::FindNext(size_t from) const {
   if (from >= num_bits_) return num_bits_;
   size_t w = from / kWordBits;

@@ -85,10 +85,6 @@ class Bitset {
   /// sets restricted to this universe.
   void IntersectWith(const Bitset& other);
 
-  /// this &= ~other. Bits beyond other's universe are treated as absent
-  /// from `other` (kept here).
-  void IntersectWithComplement(const Bitset& other);
-
   /// Index of the first set bit at position >= `from`, or size() if none.
   size_t FindNext(size_t from) const;
 
@@ -96,6 +92,15 @@ class Bitset {
     assert(w < words_.size());
     return words_[w];
   }
+  /// Raw word storage for word-at-a-time writers, which must leave the
+  /// bits beyond the universe clear (mask the last word with TailMask()).
+  uint64_t* mutable_words() { return words_.data(); }
+  /// The valid-bit mask of the last word.
+  uint64_t TailMask() const {
+    const size_t tail = num_bits_ % kWordBits;
+    return tail == 0 ? ~uint64_t{0} : (uint64_t{1} << tail) - 1;
+  }
+
   /// Overwrites word `w`; bits beyond the universe are masked off.
   void SetWord(size_t w, uint64_t bits) {
     assert(w < words_.size());
@@ -114,10 +119,7 @@ class Bitset {
   // Zeroes the bits of the last word beyond num_bits_ (the class
   // invariant every word-parallel reader relies on).
   void ClearTail() {
-    const size_t tail = num_bits_ % kWordBits;
-    if (tail != 0 && !words_.empty()) {
-      words_.back() &= (uint64_t{1} << tail) - 1;
-    }
+    if (!words_.empty()) words_.back() &= TailMask();
   }
 
   size_t num_bits_ = 0;

@@ -13,8 +13,6 @@ uint64_t SplitMix64(uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 uint64_t DeriveSeed(uint64_t base_seed, uint64_t index) {
@@ -35,18 +33,6 @@ Rng::Rng(uint64_t seed) {
   for (auto& word : state_) word = SplitMix64(sm);
   // Guard against the (astronomically unlikely) all-zero state.
   if ((state_[0] | state_[1] | state_[2] | state_[3]) == 0) state_[0] = 1;
-}
-
-uint64_t Rng::Next() {
-  const uint64_t result = Rotl(state_[1] * 5, 7) * 9;
-  const uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = Rotl(state_[3], 45);
-  return result;
 }
 
 uint64_t Rng::UniformInt(uint64_t bound) {

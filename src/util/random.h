@@ -36,8 +36,19 @@ class Rng {
   /// Seeds the state deterministically from `seed` via SplitMix64.
   explicit Rng(uint64_t seed = 0x9e3779b97f4a7c15ULL);
 
-  /// Returns the next raw 64-bit output.
-  uint64_t Next();
+  /// Returns the next raw 64-bit output. Inline: the colour-coding trial
+  /// loop draws one output per 64-element mask word.
+  uint64_t Next() {
+    const uint64_t result = Rotl(state_[1] * 5, 7) * 9;
+    const uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = Rotl(state_[3], 45);
+    return result;
+  }
 
   /// Returns a uniform integer in [0, bound). Requires bound > 0.
   uint64_t UniformInt(uint64_t bound);
@@ -79,6 +90,8 @@ class Rng {
   Rng Split();
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+
   uint64_t state_[4];
 };
 

@@ -88,19 +88,6 @@ TEST(BitsetTest, IntersectWith) {
   EXPECT_FALSE(a.Test(129));
 }
 
-TEST(BitsetTest, IntersectWithComplement) {
-  Bitset a(130, true);
-  Bitset red(130, false);
-  red.Set(0);
-  red.Set(64);
-  a.IntersectWithComplement(red);
-  EXPECT_EQ(a.Count(), 128u);
-  EXPECT_FALSE(a.Test(0));
-  EXPECT_FALSE(a.Test(64));
-  EXPECT_TRUE(a.Test(1));
-  EXPECT_TRUE(a.Test(129));
-}
-
 TEST(BitsetTest, ComplementViaFlipMatchesPerBit) {
   Rng rng(404);
   for (int round = 0; round < 10; ++round) {

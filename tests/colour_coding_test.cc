@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "app/graph_gen.h"
 #include "decomposition/elimination_order.h"
 #include "decomposition/width_measures.h"
@@ -132,6 +134,61 @@ TEST(DecideAnySolutionTest, BooleanQueries) {
     Rng rng(6);
     EXPECT_FALSE(
         DecideAnySolution(no, hom.get(), 3, VarDomains{}, 1e-6, rng));
+  }
+}
+
+// The materialising draw the one-pass overlay replaces: each colouring
+// drawn whole with RandomMaskInto, then copied (red) or complemented
+// (blue) into the endpoint masks and intersected across disequalities.
+std::map<int, Bitset> ReferenceMasks(const Query& q, Rng& rng,
+                                     uint32_t universe) {
+  std::map<int, Bitset> masks;
+  Bitset colouring;
+  for (const Disequality& d : q.disequalities()) {
+    rng.RandomMaskInto(colouring, universe, 0.5);
+    Bitset blue = colouring;
+    blue.FlipAll();
+    for (const auto& [var, mask] : {std::make_pair(d.lhs, colouring),
+                                    std::make_pair(d.rhs, blue)}) {
+      auto [it, inserted] = masks.emplace(var, mask);
+      if (!inserted) it->second.IntersectWith(mask);
+    }
+  }
+  return masks;
+}
+
+TEST(TrialOverlayTest, OnePassMasksMatchMaterialisedColourings) {
+  const std::vector<std::string> queries = {
+      "ans(x) :- F(x, y), x != y.",
+      "ans(x) :- F(x, y), F(x, z), x != y, x != z.",
+      "ans(x) :- F(x, y), F(y, z), x != y, y != z, x != z."};
+  for (const std::string& text : queries) {
+    const Query q = Parse(text);
+    internal::TrialOverlay overlay(q);
+    for (uint32_t universe : {1u, 63u, 64u, 65u, 50000u}) {
+      // Per-trial derived streams (IsEdgeFree) and one shared stream
+      // across trials (DecideAnySolution) must both reproduce.
+      Rng shared(universe);
+      Rng shared_reference(universe);
+      for (uint64_t trial = 0; trial < 4; ++trial) {
+        Rng derived(DeriveSeed(17, trial));
+        Rng derived_reference(DeriveSeed(17, trial));
+        for (Rng* rng : {&derived, &shared}) {
+          Rng& reference_rng =
+              rng == &derived ? derived_reference : shared_reference;
+          const std::map<int, Bitset> expected =
+              ReferenceMasks(q, reference_rng, universe);
+          const std::vector<DomainRestriction>& drawn =
+              overlay.Draw(*rng, universe);
+          ASSERT_EQ(drawn.size(), expected.size()) << text;
+          for (const DomainRestriction& r : drawn) {
+            EXPECT_EQ(*r.mask, expected.at(r.var))
+                << text << " universe " << universe << " var " << r.var;
+          }
+          EXPECT_EQ(rng->Next(), reference_rng.Next());
+        }
+      }
+    }
   }
 }
 

@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <memory>
+#include <set>
 
+#include "counting/exact_count.h"
+#include "counting/fptras.h"
 #include "query/parser.h"
 #include "test_util.h"
 
@@ -247,6 +251,87 @@ TEST_P(BagJoinerPropertyTest, MatchesNaiveSemantics) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BagJoinerPropertyTest,
                          ::testing::Range(0, 60));
+
+Database GraphDatabase(uint32_t universe, const std::vector<Tuple>& edges) {
+  Database db(universe);
+  EXPECT_TRUE(db.DeclareRelation("F", 2).ok());
+  for (const Tuple& e : edges) EXPECT_TRUE(db.AddFact("F", e).ok());
+  db.Canonicalize();
+  return db;
+}
+
+// Materialises `vars` of `q` over `db` and checks it against the naive
+// reference semantics.
+void ExpectMatchesNaive(const Query& q, const Database& db,
+                        const std::vector<int>& vars) {
+  BagJoiner joiner(q, db, vars, {});
+  const Relation fast = joiner.Materialise(nullptr);
+  std::vector<Tuple> slow = NaiveBagSolutions(q, db, vars, nullptr, {});
+  std::sort(slow.begin(), slow.end());
+  ASSERT_EQ(fast.size(), slow.size()) << q.ToString();
+  for (size_t i = 0; i < slow.size(); ++i) EXPECT_EQ(fast[i], AsView(slow[i]));
+}
+
+TEST(BagJoinerTest, JoinersOverOneDatabaseShareProjections) {
+  const Database db = GraphDatabase(4, {{0, 1}, {1, 2}, {1, 3}, {3, 3}});
+  const Query first = Parse("ans(x) :- F(x, y).");
+  const Query second = Parse("ans(a) :- F(a, b), F(b, c), a != c.");
+  const BagJoiner j1(first, db, {0}, {});
+  const BagJoiner j2(second, db, {0}, {});
+  // The memo entry, both joiners and this handle: one shared projection.
+  const std::shared_ptr<const Relation> first_column =
+      db.Projection("F", ProjectionSpec{{0}, {}});
+  EXPECT_EQ(first_column.use_count(), 4);
+  EXPECT_EQ(j1.Materialise(nullptr), *first_column);
+  EXPECT_EQ(j2.Materialise(nullptr), *first_column);
+}
+
+TEST(BagJoinerTest, JoinsSeeFactsAddedAfterMemoisation) {
+  const Query q = Parse("ans(x) :- F(x, y), F(y, x), F(x, x).");
+  Database db = GraphDatabase(4, {{0, 1}, {1, 0}, {2, 2}});
+  ExpectMatchesNaive(q, db, {0});
+  ExpectMatchesNaive(q, db, {1, 0});
+  ASSERT_TRUE(db.AddFact("F", {1, 1}).ok());
+  db.Canonicalize();
+  ExpectMatchesNaive(q, db, {0});
+  ExpectMatchesNaive(q, db, {1, 0});
+  ASSERT_TRUE(db.AdoptRelation("F", Relation(2, {3, 3, 3, 0, 0, 3})).ok());
+  ExpectMatchesNaive(q, db, {0});
+  ExpectMatchesNaive(q, db, {1, 0});
+}
+
+TEST(BagJoinerTest, CopiedDatabaseSurvivesMutationOfTheOriginal) {
+  const Query q = Parse("ans(x) :- F(y, x), F(x, x).");
+  Database original = GraphDatabase(4, {{0, 1}, {1, 1}, {2, 2}});
+  ExpectMatchesNaive(q, original, {0});
+  const Database copy = original;
+  ASSERT_TRUE(original.AdoptRelation("F", Relation(2, {3, 3})).ok());
+  ExpectMatchesNaive(q, copy, {0});
+  ExpectMatchesNaive(q, original, {0});
+}
+
+// Regression: a memo keyed by database address would hand a database
+// built where a destroyed one lived the old contents' projections.
+TEST(BagJoinerTest, FreshDatabaseAtRecycledAddressCountsItsOwnContents) {
+  // Reversed atoms: every bag reads F through a non-identity projection.
+  const Query q = Parse("ans(x) :- F(y, x), F(z, y), x != z.");
+  const std::vector<std::vector<Tuple>> contents = {
+      {{0, 1}, {1, 2}, {2, 3}, {3, 0}, {4, 1}},
+      {{1, 0}, {2, 0}, {0, 4}},
+      {{0, 1}, {1, 0}, {2, 2}, {3, 2}}};
+  for (const std::vector<Tuple>& edges : contents) {
+    auto db = std::make_unique<Database>(GraphDatabase(5, edges));
+    std::set<Value> answers;
+    for (const Tuple& t : NaiveBagSolutions(q, *db, {0, 1, 2}, nullptr,
+                                            {true, true})) {
+      answers.insert(t[0]);
+    }
+    StatusOr<ApproxCountResult> approx = ApproxCountAnswers(q, *db, {});
+    ASSERT_TRUE(approx.ok()) << approx.status().ToString();
+    EXPECT_EQ(approx->estimate, static_cast<double>(answers.size()));
+    EXPECT_EQ(ExactCountAnswersBruteForce(q, *db), answers.size());
+  }
+}
 
 }  // namespace
 }  // namespace cqcount

@@ -169,7 +169,8 @@ TEST(MetricsTest, GlobalRegistryCoversEverySubsystem) {
         "dlm.nondet.speculative_probes",
         "acjr.membership_tests", "sampler.samples",
         "scheduler.budget_splits", "scheduler.early_stops",
-        "dlm.early_stops"}) {
+        "dlm.early_stops", "projection_memo.entries",
+        "projection_memo.bytes"}) {
     EXPECT_NE(json.find(std::string("\"") + name + "\""), std::string::npos)
         << "missing metric " << name;
   }

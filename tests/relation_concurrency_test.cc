@@ -12,7 +12,9 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "relational/relation.h"
+#include "relational/structure.h"
 #include "util/random.h"
 
 namespace cqcount {
@@ -114,6 +116,62 @@ TEST(RelationConcurrencyTest, ConcurrentMixedReadPaths) {
   }
   for (auto& t : readers) t.join();
   EXPECT_EQ(failures.load(), 0);
+}
+
+// TSan target: threads racing on one database's projection memo. Every
+// thread must receive the one entry per key, and each key must be built
+// exactly once (the entries gauge counts builds).
+TEST(RelationConcurrencyTest, ConcurrentProjectionRequestsShareOneBuild) {
+  Structure db(64);
+  ASSERT_TRUE(db.AdoptRelation("F", BuildRelation(3, 64, 20000, 5)).ok());
+  ASSERT_TRUE(db.AdoptRelation("G", BuildRelation(2, 64, 5000, 6)).ok());
+  const std::vector<std::pair<std::string, ProjectionSpec>> keys = {
+      {"F", {{0}, {}}},          {"F", {{2, 0}, {}}},
+      {"F", {{1}, {{0, 2}}}},    {"G", {{1, 0}, {}}},
+      {"G", {{1}, {}}},          {"G", {{0, 1}, {}}}};  // Identity.
+  obs::Gauge& entries = obs::MetricRegistry::Global().GetGauge(
+      "projection_memo.entries", "");
+  const int64_t entries_before = entries.Value();
+
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 20;
+  std::vector<std::vector<const Relation*>> seen(
+      kThreads, std::vector<const Relation*>(keys.size(), nullptr));
+  std::atomic<int> mismatches{0};
+  std::atomic<bool> go{false};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kThreads; ++w) {
+    threads.emplace_back([&, w] {
+      while (!go.load()) {
+      }
+      for (int round = 0; round < kRounds; ++round) {
+        // Each thread starts at a different key, so the first requests
+        // race on the same and on different keys at once.
+        for (size_t i = 0; i < keys.size(); ++i) {
+          const size_t k = (i + static_cast<size_t>(w)) % keys.size();
+          const Relation* p =
+              db.Projection(keys[k].first, keys[k].second).get();
+          if (seen[w][k] == nullptr) seen[w][k] = p;
+          if (seen[w][k] != p) {
+            mismatches.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      }
+    });
+  }
+  go.store(true);
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  for (size_t k = 0; k < keys.size(); ++k) {
+    const std::shared_ptr<const Relation> p =
+        db.Projection(keys[k].first, keys[k].second);
+    for (int w = 0; w < kThreads; ++w) EXPECT_EQ(seen[w][k], p.get());
+    const Relation& rel = db.relation(keys[k].first);
+    EXPECT_EQ(*p, rel.Project(keys[k].second.positions,
+                              keys[k].second.equal_pairs));
+  }
+  // Five non-identity keys, five builds; the identity key is an alias.
+  EXPECT_EQ(entries.Value() - entries_before, 5);
 }
 
 }  // namespace

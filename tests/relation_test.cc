@@ -191,6 +191,39 @@ TEST(RelationTest, ProjectReordersColumns) {
   EXPECT_TRUE(p.Contains({3, 1}));
 }
 
+TEST(RelationTest, ProjectKeepsRowsAgreeingOnEqualPairs) {
+  Relation r(3, {0, 1, 1, 2, 2, 2, 3, 3, 4, 5, 6, 5});
+  EXPECT_EQ(r.Project({0}, {{1, 2}}), Relation(1, {0, 2}));
+  EXPECT_EQ(r.Project({1, 0}, {{0, 2}}), Relation(2, {2, 2, 6, 5}));
+}
+
+// Non-decreasing staged rows with duplicates take the linear dedupe; the
+// result must equal the sort-based canonical form at every arity.
+TEST(RelationTest, SortedRowsWithDuplicatesDedupeLinearly) {
+  for (int arity = 1; arity <= 3; ++arity) {
+    Rng rng(static_cast<uint64_t>(arity));
+    std::vector<Tuple> rows;
+    for (int i = 0; i < 300; ++i) {
+      Tuple t(static_cast<size_t>(arity));
+      for (Value& v : t) v = static_cast<Value>(rng.UniformInt(4));
+      rows.push_back(t);
+    }
+    std::sort(rows.begin(), rows.end());
+    Relation sorted(arity);
+    Relation shuffled(arity);
+    for (const Tuple& t : rows) sorted.Add(t);
+    rng.Shuffle(rows);
+    for (const Tuple& t : rows) shuffled.Add(t);
+    sorted.Canonicalize();
+    shuffled.Canonicalize();
+    EXPECT_EQ(sorted, shuffled);
+    EXPECT_LT(sorted.size(), rows.size());
+    for (size_t i = 1; i < sorted.size(); ++i) {
+      EXPECT_TRUE(sorted[i - 1] < sorted[i]);
+    }
+  }
+}
+
 TEST(RelationTest, ReorderIsFullPermutation) {
   Relation r(2);
   r.Add({1, 9});
