@@ -72,7 +72,7 @@ int Run() {
       continue;
     }
     bench::Row("%8d %12.1f %12.2f %14llu", n, approx->estimate, ms,
-               static_cast<unsigned long long>(approx->hom_queries));
+               static_cast<unsigned long long>(approx->nondet_hom_queries));
   }
   bench::Row("%s",
              "\npaper shape: FPTRAS exists for every bounded-treewidth "

@@ -67,7 +67,7 @@ int Run() {
       bench::Row("%8u %12.1f %12.2f %14llu", n,
                  fpras.ok() ? fpras->estimate : -1.0, ms,
                  fpras.ok() ? static_cast<unsigned long long>(
-                                  fpras->membership_tests)
+                                  fpras->oracle_calls)
                             : 0ull);
     }
   }

@@ -61,8 +61,8 @@ int Run() {
       bench::Row("%8.2f %12.1f %10.4f %12llu %12llu", epsilon,
                  result->estimate,
                  bench::RelativeError(result->estimate, exact),
-                 static_cast<unsigned long long>(result->edgefree_calls),
-                 static_cast<unsigned long long>(result->hom_queries));
+                 static_cast<unsigned long long>(result->oracle_calls),
+                 static_cast<unsigned long long>(result->nondet_hom_queries));
     }
   }
 

@@ -33,7 +33,7 @@
 // (chrome://tracing / Perfetto); --metrics dumps the process metric
 // registry to stderr after the command; `stats` runs one count and dumps
 // the registry JSON to stdout; `count --json` prints the result with its
-// per-component provenance and QueryProfile as one JSON object;
+// per-component provenance and profile as one JSON object;
 // `explain --json` prints the planning provenance (per-component plans,
 // budget split, observed shape history) without executing.
 #include <cstdio>
@@ -145,84 +145,6 @@ bool WriteTraceFile(const std::string& path) {
 void DumpMetrics() {
   std::fputs(obs::MetricRegistry::Global().ToJson().c_str(), stderr);
   std::fputc('\n', stderr);
-}
-
-const char* KindName(QueryKind kind) {
-  switch (kind) {
-    case QueryKind::kCq:
-      return "CQ";
-    case QueryKind::kDcq:
-      return "DCQ";
-    default:
-      return "ECQ";
-  }
-}
-
-// The `count --json` document: the result with its per-component
-// provenance and QueryProfile as ONE object (machine-readable mode;
-// scripts/check_estimates.py validates this schema).
-std::string CountResultJson(const EngineResult& r) {
-  obs::JsonWriter json;
-  json.BeginObject();
-  json.Key("estimate").Double(r.estimate);
-  json.Key("exact").Bool(r.exact);
-  json.Key("converged").Bool(r.converged);
-  json.Key("partial").Bool(r.partial);
-  json.Key("lower_bound").Double(r.lower_bound);
-  json.Key("upper_bound").Double(r.upper_bound);
-  json.Key("partial_reason").String(r.partial_reason);
-  json.Key("adaptive").Bool(r.adaptive);
-  json.Key("strategy").String(StrategyName(r.strategy));
-  json.Key("kind").String(KindName(r.kind));
-  json.Key("width").Double(r.width);
-  json.Key("verdict").String(r.verdict);
-  json.Key("shape_key").String(r.shape_key);
-  json.Key("oracle_calls").Uint(r.oracle_calls);
-  json.Key("plan_cache_hit").Bool(r.plan_cache_hit);
-  json.Key("num_components").Int(r.num_components);
-  json.Key("guards_evaluated").Int(r.guards_evaluated);
-  json.Key("plan_ms").Double(r.plan_millis);
-  json.Key("exec_ms").Double(r.exec_millis);
-  json.Key("components").BeginArray();
-  for (const ComponentResult& c : r.components) {
-    json.BeginObject();
-    json.Key("estimate").Double(c.estimate);
-    json.Key("exact").Bool(c.exact);
-    json.Key("converged").Bool(c.converged);
-    json.Key("partial").Bool(c.partial);
-    json.Key("lower_bound").Double(c.lower_bound);
-    json.Key("upper_bound").Double(c.upper_bound);
-    json.Key("stop_reason").String(StopReasonName(c.stop_reason));
-    json.Key("rounds_executed").Int(c.rounds_executed);
-    json.Key("completed_runs").Int(c.completed_runs);
-    json.Key("total_runs").Int(c.total_runs);
-    json.Key("executed").Bool(c.executed);
-    json.Key("strategy").String(StrategyName(c.strategy));
-    json.Key("verdict").String(c.verdict);
-    json.Key("shape_key").String(c.shape_key);
-    json.Key("width").Double(c.width);
-    json.Key("num_vars").Int(c.num_vars);
-    json.Key("num_free").Int(c.num_free);
-    json.Key("existential").Bool(c.existential);
-    json.Key("plan_cache_hit").Bool(c.plan_cache_hit);
-    json.Key("oracle_calls").Uint(c.oracle_calls);
-    json.Key("nondet_hom_queries").Uint(c.nondet_hom_queries);
-    json.Key("cost_source").String(c.cost_source);
-    json.Key("predicted_ms").Double(c.predicted_millis);
-    json.Key("predicted_oracle_calls").Double(c.predicted_oracle_calls);
-    json.Key("dp_prepared_decides").Uint(c.dp_prepared_decides);
-    json.Key("dp_prepared_path").Bool(c.dp_prepared_path);
-    json.Key("colouring_trials_per_call").Uint(c.colouring_trials_per_call);
-    json.Key("epsilon").Double(c.epsilon);
-    json.Key("delta").Double(c.delta);
-    json.Key("exec_ms").Double(c.exec_millis);
-    json.Key("lanes").Int(c.parallel.lanes);
-    json.EndObject();
-  }
-  json.EndArray();
-  json.Key("profile").RawValue(r.profile.ToJson());
-  json.EndObject();
-  return json.Take();
 }
 
 // The `explain --json` document: planning provenance without execution —

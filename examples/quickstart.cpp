@@ -68,7 +68,7 @@ end
               approx->exact ? " (resolved exactly)" : "");
   std::printf("decomposition width   = %.0f, hom queries = %llu\n",
               approx->width,
-              static_cast<unsigned long long>(approx->hom_queries));
+              static_cast<unsigned long long>(approx->nondet_hom_queries));
 
   // Section 6: approximately uniform answer samples.
   SamplerOptions sopts;

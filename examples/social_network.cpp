@@ -63,7 +63,7 @@ int main() {
                 "hom queries = %llu\n\n",
                 approx->estimate, static_cast<unsigned long long>(exact),
                 approx->width,
-                static_cast<unsigned long long>(approx->hom_queries));
+                static_cast<unsigned long long>(approx->nondet_hom_queries));
   }
   return 0;
 }

@@ -113,7 +113,7 @@ class AcjrEngine {
       ProcessNode(t);
     }
     for (const LaneScratch& scratch : scratch_) {
-      result_.membership_tests += scratch.membership_tests;
+      result_.oracle_calls += scratch.membership_tests;
     }
     result_.union_estimates =
         union_estimates_.load(std::memory_order_relaxed);

@@ -63,15 +63,12 @@ struct AcjrOptions {
   const ResourceGovernor* governor = nullptr;
 };
 
-/// Estimation result (estimate/exact/converged from EstimateOutcome; exact
-/// means no union estimation was needed — quantifier-free query).
+/// Estimation result: the shared outcome (exact means no union estimation
+/// was needed — quantifier-free query; oracle_calls counts membership
+/// feasibility DP invocations).
 struct AcjrResult : EstimateOutcome {
-  /// Membership feasibility DP invocations.
-  uint64_t membership_tests = 0;
   /// Number of (forget-existential node, state) union estimates performed.
   uint64_t union_estimates = 0;
-  /// Intra-estimate parallelism observability.
-  ParallelStats parallel;
 };
 
 /// Runs the estimator for a pure CQ over a valid nice tree decomposition

@@ -30,17 +30,14 @@ struct FprasOptions {
   const FWidthResult* precomputed_decomposition = nullptr;
 };
 
-/// Result of the FPRAS (estimate/exact/converged from the shared
-/// EstimateOutcome contract; exact means no sampling was involved —
-/// quantifier-free or trivially empty).
+/// Result of the FPRAS: the shared outcome (exact means no sampling was
+/// involved — quantifier-free or trivially empty; oracle_calls counts
+/// membership tests).
 struct FprasResult : EstimateOutcome {
   /// Fractional hypertreewidth of the decomposition actually used.
   double fhw = 0.0;
   /// Nodes of the nice decomposition.
   int decomposition_nodes = 0;
-  uint64_t membership_tests = 0;
-  /// Intra-estimate parallelism observability.
-  ParallelStats parallel;
 };
 
 /// Approximates |Ans(phi, D)| for a pure CQ in fully polynomial time for

@@ -266,12 +266,10 @@ class Estimator {
     }
     std::vector<double> estimates;
     estimates.reserve(runs);
-    int worst_rounds = 0;
     bool converged = true;
     uint64_t run_calls = 0;
     for (const RunOutcome& outcome : outcomes) {
       estimates.push_back(outcome.estimate);
-      worst_rounds = std::max(worst_rounds, outcome.rounds);
       converged = converged && outcome.converged;
       run_calls += outcome.calls;
       total_rounds_ += static_cast<uint64_t>(outcome.rounds);
@@ -281,7 +279,6 @@ class Estimator {
         Finish(Median(estimates), false, converged, run_calls);
     result->stop_reason = converged ? StopReason::kFullSchedule
                                     : StopReason::kBudgetExhausted;
-    result->refinement_rounds = worst_rounds;
     result->completed_runs = runs;
     result->total_runs = runs;
     return result;
@@ -359,12 +356,10 @@ class Estimator {
     std::vector<double> completed;
     completed.reserve(outcomes.size());
     uint64_t run_calls = 0;
-    int worst_rounds = 0;
     for (const RunOutcome& outcome : outcomes) {
       run_calls += outcome.calls;
       if (!outcome.completed) continue;
       completed.push_back(outcome.estimate);
-      worst_rounds = std::max(worst_rounds, outcome.rounds);
       total_rounds_ += static_cast<uint64_t>(outcome.rounds);
     }
     runs_executed_ = completed.size();
@@ -384,7 +379,6 @@ class Estimator {
                               : StopReason::kDeadlineExpired;
     result->lower_bound = lower;
     result->upper_bound = upper;
-    result->refinement_rounds = worst_rounds;
     result->completed_runs = static_cast<int>(completed.size());
     result->total_runs = runs;
     return result;
@@ -476,12 +470,10 @@ class Estimator {
     }
     std::vector<double> estimates;
     estimates.reserve(outcomes.size());
-    int worst_rounds = 0;
     bool converged = true;
     uint64_t run_calls = 0;
     for (const RunOutcome& outcome : outcomes) {
       estimates.push_back(outcome.estimate);
-      worst_rounds = std::max(worst_rounds, outcome.rounds);
       converged = converged && outcome.converged;
       run_calls += outcome.calls;
       total_rounds_ += static_cast<uint64_t>(outcome.rounds);
@@ -493,7 +485,6 @@ class Estimator {
                               ? stop
                               : (converged ? StopReason::kFullSchedule
                                            : StopReason::kBudgetExhausted);
-    result->refinement_rounds = worst_rounds;
     result->completed_runs = static_cast<int>(outcomes.size());
     result->total_runs = runs;
     return result;

@@ -103,22 +103,9 @@ struct DlmOptions {
   int min_early_stop_runs = 3;
 };
 
-/// Estimation result (estimate/exact/converged — plus the anytime-answer
-/// partial/lower_bound/upper_bound triple — from EstimateOutcome).
-struct DlmResult : EstimateOutcome {
-  /// Oracle calls consumed (deterministic per-unit accounting; probes
-  /// speculated on spare lanes but never consumed are not included).
-  uint64_t oracle_calls = 0;
-  /// Adaptive rounds used by the slowest run.
-  int refinement_rounds = 0;
-  /// Outer-median runs that ran to completion / that were scheduled.
-  /// Differ only on partial results (interrupted runs are discarded; the
-  /// anytime interval brackets the full-median over all scheduled runs).
-  int completed_runs = 0;
-  int total_runs = 0;
-  /// Intra-estimate parallelism observability.
-  ParallelStats parallel;
-};
+/// Estimation result: the shared outcome, with oracle_calls counting the
+/// consumed EdgeFree probes.
+using DlmResult = EstimateOutcome;
 
 /// Counts edges of the implicit l-partite hypergraph whose part i has
 /// `part_sizes[i]` vertices, using only `oracle`. Requires l >= 1.

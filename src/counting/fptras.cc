@@ -61,7 +61,7 @@ struct FptrasMetrics {
 void RecordPipelineMetrics(const ApproxCountResult& result) {
   FptrasMetrics& metrics = FptrasMetrics::Get();
   metrics.invocations.Increment();
-  metrics.hom_queries.Add(result.hom_queries);
+  metrics.hom_queries.Add(result.nondet_hom_queries);
   metrics.colouring_trials.Add(result.colouring_trials_per_call);
   metrics.prepared_decides.Add(result.dp_prepared_decides);
   metrics.cached_bag_rows.Add(result.dp_cached_bag_rows);
@@ -123,6 +123,15 @@ StatusOr<ApproxCountResult> ApproxCountAnswers(const Query& q,
 
   ApproxCountResult result;
   result.width = width.width;
+  // Folds the hom oracle's work into the final result.
+  auto finish = [&]() -> ApproxCountResult {
+    result.nondet_hom_queries = hom.num_calls();
+    result.dp_prepared_decides = hom.dp_stats().prepared_decides;
+    result.dp_cached_bag_rows = hom.dp_stats().cached_bag_rows;
+    result.dp_prepared_path = hom.dp_stats().prepared_path;
+    RecordPipelineMetrics(result);
+    return result;
+  };
 
   if (q.num_free() == 0) {
     // |Ans| is 0 or 1 (the empty assignment): amplified decision. A single
@@ -140,16 +149,10 @@ StatusOr<ApproxCountResult> ApproxCountAnswers(const Query& q,
     result.lower_bound = result.estimate;
     result.upper_bound = result.estimate;
     result.exact = q.disequalities().empty();
-    result.hom_queries = hom.num_calls();
-    result.dp_prepared_decides = hom.dp_stats().prepared_decides;
-    result.dp_cached_bag_rows = hom.dp_stats().cached_bag_rows;
-    result.dp_prepared_path = hom.dp_stats().prepared_path;
-    RecordPipelineMetrics(result);
-    return result;
+    return finish();
   }
 
   ColourCodingEdgeFreeOracle oracle(q, &hom, db.universe_size(), cc);
-  result.colouring_trials_per_call = oracle.trials_per_call();
 
   DlmOptions dlm = opts.dlm;
   dlm.epsilon = opts.epsilon;
@@ -165,27 +168,13 @@ StatusOr<ApproxCountResult> ApproxCountAnswers(const Query& q,
   }();
   if (!dlm_result.ok()) return dlm_result.status();
 
-  result.estimate = dlm_result->estimate;
+  static_cast<EstimateOutcome&>(result) = *dlm_result;
   // "Exact" from the enumeration phase is still subject to the one-sided
   // colour-coding failure when disequalities are present; keep the flag,
   // since the failure probability is covered by delta.
   result.exact = dlm_result->exact && q.disequalities().empty();
-  result.converged = dlm_result->converged;
-  result.partial = dlm_result->partial;
-  result.lower_bound = dlm_result->lower_bound;
-  result.upper_bound = dlm_result->upper_bound;
-  result.stop_reason = dlm_result->stop_reason;
-  result.rounds_executed = dlm_result->rounds_executed;
-  result.completed_runs = dlm_result->completed_runs;
-  result.total_runs = dlm_result->total_runs;
-  result.edgefree_calls = dlm_result->oracle_calls;
-  result.hom_queries = hom.num_calls();
-  result.dp_prepared_decides = hom.dp_stats().prepared_decides;
-  result.dp_cached_bag_rows = hom.dp_stats().cached_bag_rows;
-  result.dp_prepared_path = hom.dp_stats().prepared_path;
-  result.parallel = dlm_result->parallel;
-  RecordPipelineMetrics(result);
-  return result;
+  result.colouring_trials_per_call = oracle.trials_per_call();
+  return finish();
 }
 
 }  // namespace cqcount

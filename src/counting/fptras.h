@@ -64,35 +64,12 @@ struct ApproxOptions {
   const ResourceGovernor* governor = nullptr;
 };
 
-/// Result of an approximate answer count (estimate/exact/converged from
-/// the shared EstimateOutcome contract).
+/// Result of an approximate answer count: the shared outcome, with
+/// oracle_calls counting the estimator's EdgeFree calls and
+/// nondet_hom_queries the colour-coding layer's hom queries.
 struct ApproxCountResult : EstimateOutcome {
-  /// EdgeFree oracle calls made by the estimator (deterministic: the
-  /// DLM layer accounts calls per deterministic work unit).
-  uint64_t edgefree_calls = 0;
-  /// Hom queries issued by the colour-coding layer. A WORK counter, not
-  /// part of the determinism contract: with intra-query lanes it includes
-  /// the trials of frontier probes speculated but never consumed, so it
-  /// varies with the lane count (verdicts never do).
-  uint64_t hom_queries = 0;
-  /// Colouring trials per EdgeFree call (the 4^{|Delta|} log factor).
-  uint64_t colouring_trials_per_call = 0;
   /// Width of the decomposition the Hom oracle ran on.
   double width = 0.0;
-  /// Trial decisions served through the prepare/evaluate DP split.
-  uint64_t dp_prepared_decides = 0;
-  /// Rows in the solver's per-bag unrestricted join cache (built once,
-  /// shared by every EdgeFree call of this count).
-  uint64_t dp_cached_bag_rows = 0;
-  /// False when the cache cap forced decisions onto the monolithic DP.
-  bool dp_prepared_path = true;
-  /// Outer-median runs completed / scheduled (differ only on partial
-  /// results; see DlmResult).
-  int completed_runs = 0;
-  int total_runs = 0;
-  /// Intra-query parallelism observability (lanes, tasks spawned, tasks
-  /// run by pool workers).
-  ParallelStats parallel;
 };
 
 /// (epsilon, delta)-approximates |Ans(phi, D)| for an ECQ (Theorem 5 with

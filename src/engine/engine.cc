@@ -8,6 +8,7 @@
 #include <thread>
 #include <utility>
 
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "query/parser.h"
@@ -18,6 +19,17 @@
 
 namespace cqcount {
 namespace {
+
+const char* KindName(QueryKind kind) {
+  switch (kind) {
+    case QueryKind::kCq:
+      return "CQ";
+    case QueryKind::kDcq:
+      return "DCQ";
+    default:
+      return "ECQ";
+  }
+}
 
 bool AllCacheHits(const std::vector<bool>& hits) {
   return !hits.empty() &&
@@ -440,26 +452,10 @@ StatusOr<EngineResult> CountingEngine::ExecutePlanned(
         if (!governance_stop) return outcome.status();
         interrupted = true;
       } else {
+        static_cast<ExecOutcome&>(cr) = *outcome;
         cr.executed = true;
-        cr.estimate = outcome->estimate;
-        cr.exact = outcome->exact;
-        cr.converged = outcome->converged;
-        cr.partial = outcome->partial;
-        cr.lower_bound = outcome->lower_bound;
-        cr.upper_bound = outcome->upper_bound;
-        cr.stop_reason = outcome->stop_reason;
-        cr.rounds_executed = outcome->rounds_executed;
-        cr.completed_runs = outcome->completed_runs;
-        cr.total_runs = outcome->total_runs;
         if (cr.partial) interrupted = true;
-        cr.oracle_calls = outcome->oracle_calls;
-        cr.nondet_hom_queries = outcome->nondet_hom_queries;
-        cr.dp_prepared_decides = outcome->dp_prepared_decides;
-        cr.dp_cached_bag_rows = outcome->dp_cached_bag_rows;
-        cr.dp_prepared_path = outcome->dp_prepared_path;
-        cr.colouring_trials_per_call = outcome->colouring_trials_per_call;
-        cr.parallel = outcome->parallel;
-        result.parallel.Merge(outcome->parallel);
+        result.parallel.Merge(cr.parallel);
         all_exact = all_exact && cr.exact;
         all_converged = all_converged && cr.converged;
         result.oracle_calls += cr.oracle_calls;
@@ -484,19 +480,6 @@ StatusOr<EngineResult> CountingEngine::ExecutePlanned(
         EngineMetrics::Get().components.Increment();
       }
     }
-    obs::ComponentProfile cp;
-    cp.shape_key = cr.shape_key;
-    cp.strategy = StrategyName(cr.strategy);
-    cp.exec_millis = cr.exec_millis;
-    cp.plan_cache_hit = cr.plan_cache_hit;
-    cp.executed = cr.executed;
-    cp.oracle_calls = cr.oracle_calls;
-    cp.dp_prepared_decides = cr.dp_prepared_decides;
-    cp.colouring_trials_per_call = cr.colouring_trials_per_call;
-    cp.lanes = cr.parallel.lanes;
-    cp.tasks = cr.parallel.tasks;
-    cp.worker_tasks = cr.parallel.worker_tasks;
-    result.profile.components.push_back(std::move(cp));
     result.components.push_back(std::move(cr));
   }
 
@@ -549,26 +532,8 @@ StatusOr<EngineResult> CountingEngine::ExecutePlanned(
     result.lower_bound = result.upper_bound = result.estimate;
   }
   result.exec_millis = timer.Millis();
-
-  obs::QueryProfile& profile = result.profile;
-  profile.compile_millis = planned.compile_millis;
-  profile.plan_millis = planned.plan_millis;
-  profile.execute_millis = result.exec_millis;
-  profile.guards_evaluated = result.guards_evaluated;
-  profile.oracle_calls = result.oracle_calls;
-  profile.lanes = result.parallel.lanes;
-  profile.tasks = result.parallel.tasks;
-  profile.worker_tasks = result.parallel.worker_tasks;
-  for (size_t i = 0; i < planned.cache_hits.size(); ++i) {
-    if (planned.cache_hits[i]) {
-      ++profile.plan_cache_hits;
-    } else {
-      ++profile.plan_cache_misses;
-    }
-  }
-  for (const ComponentResult& cr : result.components) {
-    profile.dp_prepared_decides += cr.dp_prepared_decides;
-  }
+  result.compile_millis = planned.compile_millis;
+  result.plan_only_millis = planned.plan_millis;
 
   EngineMetrics& metrics = EngineMetrics::Get();
   metrics.counts.Increment();
@@ -651,7 +616,7 @@ StatusOr<EngineResult> CountingEngine::Count(const CountRequest& request) {
   }
   if (result->partial) metrics.partial_results.Increment();
   result->plan_millis = plan_millis;
-  result->profile.parse_millis = parse_millis;
+  result->parse_millis = parse_millis;
   return result;
 }
 
@@ -719,11 +684,8 @@ StatusOr<Explanation> CountingEngine::Explain(const std::string& query,
   const Query& nq = compiled.normalized;
   std::ostringstream text;
   text << "query: " << q->ToString() << "\n"
-       << "kind: "
-       << (nq.Kind() == QueryKind::kCq    ? "CQ"
-           : nq.Kind() == QueryKind::kDcq ? "DCQ"
-                                          : "ECQ")
-       << "  vars: " << nq.num_vars() << " (" << nq.num_free() << " free)"
+       << "kind: " << KindName(nq.Kind()) << "  vars: " << nq.num_vars()
+       << " (" << nq.num_free() << " free)"
        << "  ||phi||: " << nq.PhiSize() << "\n";
   if (compiled.stats.Changed()) {
     text << "passes: atoms deduped " << compiled.stats.atoms_deduped
@@ -844,6 +806,112 @@ std::vector<StatusOr<EngineResult>> CountingEngine::CountBatch(
     run_lanes(dedicated, num_threads);
   }
   return results;
+}
+
+std::string CountResultJson(const EngineResult& r) {
+  obs::JsonWriter json;
+  json.BeginObject();
+  json.Key("estimate").Double(r.estimate);
+  json.Key("exact").Bool(r.exact);
+  json.Key("converged").Bool(r.converged);
+  json.Key("partial").Bool(r.partial);
+  json.Key("lower_bound").Double(r.lower_bound);
+  json.Key("upper_bound").Double(r.upper_bound);
+  json.Key("partial_reason").String(r.partial_reason);
+  json.Key("adaptive").Bool(r.adaptive);
+  json.Key("strategy").String(StrategyName(r.strategy));
+  json.Key("kind").String(KindName(r.kind));
+  json.Key("width").Double(r.width);
+  json.Key("verdict").String(r.verdict);
+  json.Key("shape_key").String(r.shape_key);
+  json.Key("oracle_calls").Uint(r.oracle_calls);
+  json.Key("plan_cache_hit").Bool(r.plan_cache_hit);
+  json.Key("num_components").Int(r.num_components);
+  json.Key("guards_evaluated").Int(r.guards_evaluated);
+  json.Key("plan_ms").Double(r.plan_millis);
+  json.Key("exec_ms").Double(r.exec_millis);
+  json.Key("components").BeginArray();
+  for (const ComponentResult& c : r.components) {
+    json.BeginObject();
+    json.Key("estimate").Double(c.estimate);
+    json.Key("exact").Bool(c.exact);
+    json.Key("converged").Bool(c.converged);
+    json.Key("partial").Bool(c.partial);
+    json.Key("lower_bound").Double(c.lower_bound);
+    json.Key("upper_bound").Double(c.upper_bound);
+    json.Key("stop_reason").String(StopReasonName(c.stop_reason));
+    json.Key("rounds_executed").Int(c.rounds_executed);
+    json.Key("completed_runs").Int(c.completed_runs);
+    json.Key("total_runs").Int(c.total_runs);
+    json.Key("executed").Bool(c.executed);
+    json.Key("strategy").String(StrategyName(c.strategy));
+    json.Key("verdict").String(c.verdict);
+    json.Key("shape_key").String(c.shape_key);
+    json.Key("width").Double(c.width);
+    json.Key("num_vars").Int(c.num_vars);
+    json.Key("num_free").Int(c.num_free);
+    json.Key("existential").Bool(c.existential);
+    json.Key("plan_cache_hit").Bool(c.plan_cache_hit);
+    json.Key("oracle_calls").Uint(c.oracle_calls);
+    json.Key("nondet_hom_queries").Uint(c.nondet_hom_queries);
+    json.Key("cost_source").String(c.cost_source);
+    json.Key("predicted_ms").Double(c.predicted_millis);
+    json.Key("predicted_oracle_calls").Double(c.predicted_oracle_calls);
+    json.Key("dp_prepared_decides").Uint(c.dp_prepared_decides);
+    json.Key("dp_prepared_path").Bool(c.dp_prepared_path);
+    json.Key("colouring_trials_per_call").Uint(c.colouring_trials_per_call);
+    json.Key("epsilon").Double(c.epsilon);
+    json.Key("delta").Double(c.delta);
+    json.Key("exec_ms").Double(c.exec_millis);
+    json.Key("lanes").Int(c.parallel.lanes);
+    json.EndObject();
+  }
+  json.EndArray();
+
+  // The profile: phase split, plan-cache outcomes, and the oracle work
+  // and lane utilization of the whole count and of each component.
+  int cache_hits = 0;
+  uint64_t dp_prepared_decides = 0;
+  for (const ComponentResult& c : r.components) {
+    cache_hits += c.plan_cache_hit ? 1 : 0;
+    dp_prepared_decides += c.dp_prepared_decides;
+  }
+  json.Key("profile").BeginObject();
+  json.Key("phases").BeginObject();
+  json.Key("parse_ms").Double(r.parse_millis);
+  json.Key("compile_ms").Double(r.compile_millis);
+  json.Key("plan_ms").Double(r.plan_only_millis);
+  json.Key("execute_ms").Double(r.exec_millis);
+  json.EndObject();
+  json.Key("plan_cache_hits").Int(cache_hits);
+  json.Key("plan_cache_misses")
+      .Int(static_cast<int>(r.components.size()) - cache_hits);
+  json.Key("guards_evaluated").Int(r.guards_evaluated);
+  json.Key("oracle_calls").Uint(r.oracle_calls);
+  json.Key("dp_prepared_decides").Uint(dp_prepared_decides);
+  json.Key("lanes").Int(r.parallel.lanes);
+  json.Key("tasks").Uint(r.parallel.tasks);
+  json.Key("worker_tasks").Uint(r.parallel.worker_tasks);
+  json.Key("components").BeginArray();
+  for (const ComponentResult& c : r.components) {
+    json.BeginObject();
+    json.Key("shape_key").String(c.shape_key);
+    json.Key("strategy").String(StrategyName(c.strategy));
+    json.Key("exec_ms").Double(c.exec_millis);
+    json.Key("plan_cache_hit").Bool(c.plan_cache_hit);
+    json.Key("executed").Bool(c.executed);
+    json.Key("oracle_calls").Uint(c.oracle_calls);
+    json.Key("dp_prepared_decides").Uint(c.dp_prepared_decides);
+    json.Key("colouring_trials_per_call").Uint(c.colouring_trials_per_call);
+    json.Key("lanes").Int(c.parallel.lanes);
+    json.Key("tasks").Uint(c.parallel.tasks);
+    json.Key("worker_tasks").Uint(c.parallel.worker_tasks);
+    json.EndObject();
+  }
+  json.EndArray();
+  json.EndObject();
+  json.EndObject();
+  return json.Take();
 }
 
 }  // namespace cqcount

@@ -124,32 +124,13 @@ struct CountRequest {
   const DeadlineClock* clock = nullptr;
 };
 
-/// Execution provenance of one Gaifman component of a query.
-struct ComponentResult {
-  /// This component's factor of the product. Purely-existential
-  /// components report their raw strategy estimate here; the boolean
-  /// collapse (non-zero -> 1) happens in the product.
-  double estimate = 0.0;
-  bool exact = false;
-  bool converged = true;
-  /// True when a deadline/cancellation interrupted this component and its
-  /// estimate is an anytime answer over the completed work units;
-  /// [lower_bound, upper_bound] then brackets the uninterrupted same-seed
-  /// result. Complete components carry [estimate, estimate].
-  bool partial = false;
-  double lower_bound = 0.0;
-  double upper_bound = 0.0;
-  /// Why the estimator stopped sampling (kFullSchedule for an ordinary
-  /// complete schedule, kConfidence/kHardBounds for adaptive early stops,
-  /// kCancelled/kDeadlineExpired on partial components, kNone for exact
-  /// strategies without run structure).
-  StopReason stop_reason = StopReason::kNone;
-  /// Adaptive refinement rounds executed across the estimator's runs.
-  int rounds_executed = 0;
-  /// Estimator outer-median runs completed / scheduled (differ only on
-  /// partial components; 0/0 for strategies without run structure).
-  int completed_runs = 0;
-  int total_runs = 0;
+/// Execution provenance of one Gaifman component of a query: the
+/// strategy's outcome plus where its plan came from. The outcome is this
+/// component's factor of the product; purely-existential components
+/// report their raw strategy estimate, and the boolean collapse (non-zero
+/// -> 1) happens in the product. A partial component's [lower_bound,
+/// upper_bound] brackets the uninterrupted same-seed result.
+struct ComponentResult : ExecOutcome {
   Strategy strategy = Strategy::kExact;
   /// Width of the decomposition the component ran on.
   double width = 0.0;
@@ -159,21 +140,9 @@ struct ComponentResult {
   bool existential = false;
   bool plan_cache_hit = false;
   /// False when execution was skipped (a false nullary guard makes the
-  /// product a certain zero): estimate/exact/oracle_calls are then
-  /// placeholders, only the planning provenance is meaningful.
+  /// product a certain zero): the outcome fields are then placeholders,
+  /// only the planning provenance is meaningful.
   bool executed = false;
-  /// Deterministic estimator probes (see ExecOutcome::oracle_calls);
-  /// the cost model's observation input.
-  uint64_t oracle_calls = 0;
-  /// Lane-count-dependent hom-oracle work (see
-  /// ExecOutcome::nondet_hom_queries); reported only.
-  uint64_t nondet_hom_queries = 0;
-  /// Trial decisions served by the prepare/evaluate DP split and the
-  /// size of the bag-join cache they shared (fptras strategies).
-  uint64_t dp_prepared_decides = 0;
-  uint64_t dp_cached_bag_rows = 0;
-  /// False when the bag-join cache cap forced the monolithic per-call DP.
-  bool dp_prepared_path = true;
   /// Canonical shape key of the component sub-query.
   std::string shape_key;
   /// Figure-1 verdict for the component's shape.
@@ -182,12 +151,6 @@ struct ComponentResult {
   /// factors: they consume none of the accuracy budget.
   double epsilon = 0.0;
   double delta = 0.0;
-  /// Intra-query parallelism this component ran with (lanes granted by
-  /// the cost model, tasks spawned, tasks run by pool workers).
-  ParallelStats parallel;
-  /// Colouring trials the EdgeFree simulation runs per oracle call
-  /// (fptras strategies; 0 otherwise).
-  uint64_t colouring_trials_per_call = 0;
   /// Wall-clock execution time of this component alone.
   double exec_millis = 0.0;
   /// Adaptive-scheduler provenance: the cost prediction this component
@@ -224,12 +187,18 @@ struct EngineResult {
   QueryKind kind = QueryKind::kCq;
   /// Largest decomposition width across components.
   double width = 0.0;
-  /// Oracle work: hom-oracle calls plus estimator membership tests.
+  /// Deterministic estimator probes summed over the executed components
+  /// (EstimateOutcome::oracle_calls); independent of the lane count.
   uint64_t oracle_calls = 0;
   /// True when every component plan came from the cache.
   bool plan_cache_hit = false;
+  /// Compile + plan wall time.
   double plan_millis = 0.0;
   double exec_millis = 0.0;
+  /// Phase split: query parsing, compilation, and planning alone.
+  double parse_millis = 0.0;
+  double compile_millis = 0.0;
+  double plan_only_millis = 0.0;
   /// Canonical shape keys of all components, sorted, joined by " * ".
   std::string shape_key;
   /// Figure-1 verdict of the dominant component.
@@ -245,11 +214,12 @@ struct EngineResult {
   int variables_pruned = 0;
   /// Nullary guards evaluated (each a 0/1 factor of the product).
   int guards_evaluated = 0;
-  /// Telemetry: phase durations, cache outcomes, oracle work and lane
-  /// utilization of this execution (also folded into the plan cache's
-  /// per-shape ShapeProfile).
-  obs::QueryProfile profile;
 };
+
+/// The `count --json` document: the result with its per-component
+/// provenance and, under "profile", its phase timings, plan-cache
+/// outcomes, oracle work and lane utilization.
+std::string CountResultJson(const EngineResult& result);
 
 /// Per-component planning provenance in Explain() output.
 struct ComponentExplanation {

@@ -74,27 +74,7 @@ class FptrasExecutor : public StrategyExecutor {
     opts.precomputed_decomposition = &decomposition;
     auto approx = ApproxCountAnswers(*ctx.query, *ctx.db, opts);
     if (!approx.ok()) return approx.status();
-    ExecOutcome outcome;
-    outcome.estimate = approx->estimate;
-    outcome.exact = approx->exact;
-    outcome.converged = approx->converged;
-    outcome.partial = approx->partial;
-    outcome.lower_bound = approx->lower_bound;
-    outcome.upper_bound = approx->upper_bound;
-    outcome.stop_reason = approx->stop_reason;
-    outcome.rounds_executed = approx->rounds_executed;
-    outcome.completed_runs = approx->completed_runs;
-    outcome.total_runs = approx->total_runs;
-    outcome.oracle_calls = approx->edgefree_calls;
-    outcome.nondet_hom_queries = approx->hom_queries;
-    // Surface the prepare/evaluate DP reuse: one bag-join cache serves
-    // every DLM oracle call issued against this plan's decomposition.
-    outcome.dp_prepared_decides = approx->dp_prepared_decides;
-    outcome.dp_cached_bag_rows = approx->dp_cached_bag_rows;
-    outcome.dp_prepared_path = approx->dp_prepared_path;
-    outcome.colouring_trials_per_call = approx->colouring_trials_per_call;
-    outcome.parallel = approx->parallel;
-    return outcome;
+    return ExecOutcome(*approx);
   }
 
  private:
@@ -119,16 +99,7 @@ class AutomataFprasExecutor : public StrategyExecutor {
     opts.precomputed_decomposition = &decomposition;
     auto fpras = FprasCountCq(*ctx.query, *ctx.db, opts);
     if (!fpras.ok()) return fpras.status();
-    ExecOutcome outcome;
-    outcome.estimate = fpras->estimate;
-    outcome.exact = fpras->exact;
-    outcome.converged = fpras->converged;
-    outcome.partial = fpras->partial;
-    outcome.lower_bound = fpras->lower_bound;
-    outcome.upper_bound = fpras->upper_bound;
-    outcome.oracle_calls = fpras->membership_tests;
-    outcome.parallel = fpras->parallel;
-    return outcome;
+    return ExecOutcome(*fpras);
   }
 };
 
@@ -166,22 +137,7 @@ class SamplerExecutor : public StrategyExecutor {
     auto approx =
         (*sampler)->EstimateCount(ctx.budget.epsilon, ctx.budget.delta);
     if (!approx.ok()) return approx.status();
-    ExecOutcome outcome;
-    outcome.estimate = approx->estimate;
-    outcome.exact = approx->exact;
-    outcome.converged = approx->converged;
-    outcome.partial = approx->partial;
-    outcome.lower_bound = approx->lower_bound;
-    outcome.upper_bound = approx->upper_bound;
-    outcome.stop_reason = approx->stop_reason;
-    outcome.rounds_executed = approx->rounds_executed;
-    outcome.completed_runs = approx->completed_runs;
-    outcome.total_runs = approx->total_runs;
-    outcome.oracle_calls = approx->edgefree_calls;
-    outcome.nondet_hom_queries = approx->hom_queries;
-    outcome.colouring_trials_per_call = approx->colouring_trials_per_call;
-    outcome.parallel = approx->parallel;
-    return outcome;
+    return ExecOutcome(*approx);
   }
 };
 

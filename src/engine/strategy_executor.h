@@ -81,37 +81,9 @@ struct ExecContext {
   AdaptiveHints adaptive;
 };
 
-/// What every strategy reports back (estimate/exact/converged from the
-/// shared EstimateOutcome contract).
-struct ExecOutcome : EstimateOutcome {
-  /// Estimator probes: DLM edge-free calls or automata membership tests.
-  /// Deterministic (a pure function of the request, at any lane count):
-  /// the adaptive scheduler's cost model and the shape profiles read it.
-  uint64_t oracle_calls = 0;
-  /// Hom-oracle decisions behind those probes (colour-coding trials,
-  /// including speculative frontier probes at more than one lane).
-  /// Depends on the lane count: reported only, never fed to a profile,
-  /// the scheduler or an equality check.
-  uint64_t nondet_hom_queries = 0;
-  /// Prepared-DP reuse across the DLM oracle calls of this execution
-  /// (fptras strategies): trial decisions answered by the trial-reuse DP
-  /// and the size of the per-plan bag-join cache they shared. Zero for
-  /// strategies without a decomposition DP.
-  uint64_t dp_prepared_decides = 0;
-  uint64_t dp_cached_bag_rows = 0;
-  /// False when the bag-join cache cap forced the monolithic per-call DP.
-  bool dp_prepared_path = true;
-  /// Colouring trials the EdgeFree simulation runs per oracle call
-  /// (fptras strategies; 0 otherwise).
-  uint64_t colouring_trials_per_call = 0;
-  /// Outer-median runs completed / scheduled by the estimator (differ
-  /// only on partial outcomes; 0/0 for strategies without run structure).
-  int completed_runs = 0;
-  int total_runs = 0;
-  /// Intra-query parallelism observability (lanes used, tasks spawned,
-  /// tasks executed by pool workers).
-  ParallelStats parallel;
-};
+/// What every strategy reports back: the shared outcome, sliced out of
+/// the estimator module's own result.
+using ExecOutcome = EstimateOutcome;
 
 /// One counting strategy, executable over the shared context.
 class StrategyExecutor {

@@ -1,11 +1,9 @@
-// The convergence/cap contract shared by every estimator in the stack.
+// The outcome contract shared by every estimator in the stack.
 //
-// DlmResult, ApproxCountResult, FprasResult, AcjrResult and the engine's
-// ExecOutcome historically each re-declared the same estimate/exact/
-// converged triple; they now all derive from EstimateOutcome so the
-// strategy-executor layer (and the engine provenance plumbing) can treat
-// any estimator result uniformly. ParallelStats rides along: every layer
-// that fans work out on the executor reports the same three numbers.
+// EstimateOutcome is the one result type from the DLM estimator up to the
+// engine's per-component provenance: estimator results derive from it and
+// add only their own fields, executors slice it out of them, and the
+// engine's ComponentResult extends it with plan provenance.
 #ifndef CQCOUNT_UTIL_ESTIMATE_OUTCOME_H_
 #define CQCOUNT_UTIL_ESTIMATE_OUTCOME_H_
 
@@ -52,6 +50,24 @@ inline const char* StopReasonName(StopReason reason) {
   return "none";
 }
 
+/// Intra-query parallelism observability (informational: the numbers
+/// describe scheduling, never the estimate).
+struct ParallelStats {
+  /// Lanes the estimate was partitioned across (1 = inline execution).
+  int lanes = 1;
+  /// Parallel task units spawned (index-space partitions).
+  uint64_t tasks = 0;
+  /// Task units executed by pool workers (the rest ran on the calling
+  /// thread, including help-drained nested work).
+  uint64_t worker_tasks = 0;
+
+  void Merge(const ParallelStats& other) {
+    if (other.lanes > lanes) lanes = other.lanes;
+    tasks += other.tasks;
+    worker_tasks += other.worker_tasks;
+  }
+};
+
 /// What every estimate reports: the value and how it was reached.
 struct EstimateOutcome {
   /// The (epsilon, delta)-estimate (exact value when `exact`).
@@ -78,24 +94,36 @@ struct EstimateOutcome {
   /// Adaptive refinement rounds executed, summed over the runs that fed
   /// the result (0 for exact resolutions).
   int rounds_executed = 0;
-};
-
-/// Intra-query parallelism observability (informational: the numbers
-/// describe scheduling, never the estimate).
-struct ParallelStats {
-  /// Lanes the estimate was partitioned across (1 = inline execution).
-  int lanes = 1;
-  /// Parallel task units spawned (index-space partitions).
-  uint64_t tasks = 0;
-  /// Task units executed by pool workers (the rest ran on the calling
-  /// thread, including help-drained nested work).
-  uint64_t worker_tasks = 0;
-
-  void Merge(const ParallelStats& other) {
-    if (other.lanes > lanes) lanes = other.lanes;
-    tasks += other.tasks;
-    worker_tasks += other.worker_tasks;
-  }
+  /// Estimator probes: DLM edge-free calls or automata membership tests.
+  /// Deterministic (a pure function of the request, at any lane count;
+  /// probes speculated on spare lanes but never consumed are not
+  /// included): the adaptive scheduler's cost model and the shape
+  /// profiles read it.
+  uint64_t oracle_calls = 0;
+  /// Hom-oracle decisions behind those probes (colour-coding trials,
+  /// including speculative frontier probes at more than one lane).
+  /// Depends on the lane count: reported only, never fed to a profile,
+  /// the scheduler or an equality check.
+  uint64_t nondet_hom_queries = 0;
+  /// Colouring trials the EdgeFree simulation runs per oracle call (the
+  /// 4^{|Delta|} log factor; 0 without colour coding).
+  uint64_t colouring_trials_per_call = 0;
+  /// Prepared-DP reuse across the oracle calls: trial decisions answered
+  /// by the trial-reuse DP and the size of the per-plan bag-join cache
+  /// they shared. Zero without a decomposition DP.
+  uint64_t dp_prepared_decides = 0;
+  uint64_t dp_cached_bag_rows = 0;
+  /// False when the bag-join cache cap forced the monolithic per-call DP.
+  bool dp_prepared_path = true;
+  /// Outer-median runs completed / scheduled. Differ only on partial
+  /// results (interrupted runs are discarded; the anytime interval
+  /// brackets the full median over all scheduled runs); 0/0 without run
+  /// structure.
+  int completed_runs = 0;
+  int total_runs = 0;
+  /// Intra-query parallelism observability (lanes used, tasks spawned,
+  /// tasks executed by pool workers).
+  ParallelStats parallel;
 };
 
 }  // namespace cqcount

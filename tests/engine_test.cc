@@ -9,6 +9,7 @@
 #include "counting/exact_count.h"
 #include "counting/fptras.h"
 #include "query/parser.h"
+#include "test_util.h"
 
 namespace cqcount {
 namespace {
@@ -64,7 +65,11 @@ TEST(EngineTest, SmallInstancePlansChooseExact) {
 TEST(EngineTest, ApproxPathMatchesDirectPipelineBitwise) {
   // Universe large enough that the planner rejects brute force.
   Database db = Social(300, 4);
-  CountingEngine engine;
+  // One lane, like the direct call: nondet_hom_queries and the parallel
+  // stats depend on the lane count.
+  EngineOptions opts;
+  opts.intra_query_threads = 1;
+  CountingEngine engine(opts);
   ASSERT_TRUE(engine.RegisterDatabase("g", db).ok());
 
   const std::string query = "ans(x) :- F(x, y), F(x, z), y != z.";
@@ -91,6 +96,12 @@ TEST(EngineTest, ApproxPathMatchesDirectPipelineBitwise) {
   // Same seed, same decomposition, same estimator: bitwise identical.
   EXPECT_EQ(via_engine->estimate, via_pipeline->estimate);
   EXPECT_EQ(via_engine->exact, via_pipeline->exact);
+  // A single component runs with the request's budget and seed verbatim,
+  // so it reports the pipeline's outcome field for field.
+  ASSERT_EQ(via_engine->components.size(), 1u);
+  testing_util::ExpectSameOutcome(via_engine->components[0], *via_pipeline);
+  EXPECT_EQ(via_engine->oracle_calls, via_pipeline->oracle_calls);
+  EXPECT_GT(via_engine->oracle_calls, 0u);
 }
 
 TEST(EngineTest, WarmCacheSkipsDecompositionRecomputation) {

@@ -82,7 +82,7 @@ TEST_P(IntraQueryDeterminismTest, FptrasTwAndFhwAndSamplerPaths) {
     obs.estimate = tw->estimate;
     obs.exact = tw->exact;
     obs.converged = tw->converged;
-    obs.oracle_calls = tw->edgefree_calls;
+    obs.oracle_calls = tw->oracle_calls;
 
     opts.objective = WidthObjective::kFractionalHypertreewidth;
     auto fhw = ApproxCountAnswers(q, db, opts);

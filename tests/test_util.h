@@ -1,8 +1,10 @@
 // Shared helpers for the cqcount test suite: deterministic random query
 // and database generators used by the property-based cross-validation
-// tests.
+// tests, and a field-by-field comparison of estimator outcomes.
 #ifndef CQCOUNT_TESTS_TEST_UTIL_H_
 #define CQCOUNT_TESTS_TEST_UTIL_H_
+
+#include <gtest/gtest.h>
 
 #include <initializer_list>
 #include <string>
@@ -11,6 +13,7 @@
 #include "query/query.h"
 #include "relational/structure.h"
 #include "util/bitset.h"
+#include "util/estimate_outcome.h"
 #include "util/random.h"
 
 namespace cqcount {
@@ -128,6 +131,32 @@ inline Database RandomDatabaseFor(const Query& q, uint32_t universe,
   }
   db.Canonicalize();
   return db;
+}
+
+/// Expects every field of the shared outcome to match, bit for bit: the
+/// check that a layer passes an estimator's outcome through unchanged.
+inline void ExpectSameOutcome(const EstimateOutcome& actual,
+                              const EstimateOutcome& expected) {
+  EXPECT_EQ(actual.estimate, expected.estimate);
+  EXPECT_EQ(actual.exact, expected.exact);
+  EXPECT_EQ(actual.converged, expected.converged);
+  EXPECT_EQ(actual.partial, expected.partial);
+  EXPECT_EQ(actual.lower_bound, expected.lower_bound);
+  EXPECT_EQ(actual.upper_bound, expected.upper_bound);
+  EXPECT_EQ(actual.stop_reason, expected.stop_reason);
+  EXPECT_EQ(actual.rounds_executed, expected.rounds_executed);
+  EXPECT_EQ(actual.oracle_calls, expected.oracle_calls);
+  EXPECT_EQ(actual.nondet_hom_queries, expected.nondet_hom_queries);
+  EXPECT_EQ(actual.colouring_trials_per_call,
+            expected.colouring_trials_per_call);
+  EXPECT_EQ(actual.dp_prepared_decides, expected.dp_prepared_decides);
+  EXPECT_EQ(actual.dp_cached_bag_rows, expected.dp_cached_bag_rows);
+  EXPECT_EQ(actual.dp_prepared_path, expected.dp_prepared_path);
+  EXPECT_EQ(actual.completed_runs, expected.completed_runs);
+  EXPECT_EQ(actual.total_runs, expected.total_runs);
+  EXPECT_EQ(actual.parallel.lanes, expected.parallel.lanes);
+  EXPECT_EQ(actual.parallel.tasks, expected.parallel.tasks);
+  EXPECT_EQ(actual.parallel.worker_tasks, expected.parallel.worker_tasks);
 }
 
 }  // namespace testing_util
