@@ -403,7 +403,7 @@ int main(int argc, char** argv) {
         StrategyName(result->strategy), result->width,
         result->num_components,
         static_cast<unsigned long long>(result->oracle_calls), dp_decides,
-        dp_prepared ? "" : " dp=monolithic-fallback",
+        dp_prepared ? "" : " dp=bag-cache-over-cap,rows-per-call",
         result->plan_cache_hit ? "cached" : "built", result->plan_millis,
         result->exec_millis);
     std::printf(

@@ -46,7 +46,8 @@ struct FptrasMetrics {
       "Bag-join cache rows shared across an invocation's oracle calls");
   obs::Counter& monolithic = obs::MetricRegistry::Global().GetCounter(
       "dp.monolithic_fallbacks",
-      "Invocations where the bag-join cache cap forced the per-call DP");
+      "Invocations where the bag-row cache was over its cap and bag rows "
+      "were materialised per call");
 
   static FptrasMetrics& Get() {
     static FptrasMetrics* metrics = new FptrasMetrics();
@@ -126,9 +127,10 @@ StatusOr<ApproxCountResult> ApproxCountAnswers(const Query& q,
   // Folds the hom oracle's work into the final result.
   auto finish = [&]() -> ApproxCountResult {
     result.nondet_hom_queries = hom.num_calls();
-    result.dp_prepared_decides = hom.dp_stats().prepared_decides;
-    result.dp_cached_bag_rows = hom.dp_stats().cached_bag_rows;
-    result.dp_prepared_path = hom.dp_stats().prepared_path;
+    result.dp_prepared_decides = hom.prepared_decides();
+    const DecompositionSolver::DpStats dp = hom.dp_stats();
+    result.dp_cached_bag_rows = dp.cached_bag_rows;
+    result.dp_prepared_path = dp.prepared_path;
     RecordPipelineMetrics(result);
     return result;
   };

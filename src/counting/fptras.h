@@ -49,12 +49,14 @@ struct ApproxOptions {
   const FWidthResult* precomputed_decomposition = nullptr;
   /// Worker pool for intra-query parallelism (not owned; null = inline).
   /// Fans the DLM estimation — sampling runs, exact-phase sub-boxes and
-  /// colouring trials — across `intra_threads` lanes, each driving its
-  /// own fork of the oracle stack. Estimates are bit-identical at every
-  /// (pool, intra_threads) configuration; see the determinism note in
-  /// dlm_counter.h and README "Parallel estimation & determinism model"
-  /// (seed tree: base seed -> component -> run -> box/stratum -> sample,
-  /// with colourings keyed by (seed, subset, trial)).
+  /// speculative frontier probes — across `intra_threads` lanes, each
+  /// driving its own fork of the oracle stack (the colouring trials of
+  /// one oracle call run in order on its lane). Estimates are
+  /// bit-identical at every (pool, intra_threads) configuration; see the
+  /// determinism note in dlm_counter.h and README "Parallel estimation &
+  /// determinism model" (seed tree: base seed -> component -> run ->
+  /// box/stratum -> sample, with colourings keyed by (seed, subset,
+  /// trial)).
   Executor* pool = nullptr;
   int intra_threads = 1;
   /// Cooperative governance (not owned; null = ungoverned). Threaded into

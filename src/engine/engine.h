@@ -56,8 +56,9 @@ struct EngineOptions {
   int num_threads = 4;
   /// Intra-query parallelism: lanes ONE estimated count may fan out
   /// across on the engine's pool (sampling runs, exact-phase sub-boxes,
-  /// colouring trials — see README "Parallel estimation & determinism
-  /// model"). 0 = automatic (pool size); 1 = off; N = fixed lane count.
+  /// speculative DLM frontier probes — see README "Parallel estimation &
+  /// determinism model"). 0 = automatic (pool size); 1 = off; N = fixed
+  /// lane count.
   /// Regardless of the setting, only components whose planned cost
   /// clears `intra_query_min_cost` get workers — cheap and exact
   /// components always run inline. Estimates are bit-identical at every

@@ -12,6 +12,12 @@
 namespace cqcount {
 namespace {
 
+// Caps on the per-solver bag-row cache: total rows across bags, and total
+// column-index offsets (sum of bag widths * (universe + 1)). Past either,
+// Prepare materialises each bag's rows per call instead.
+constexpr uint64_t kMaxCachedBagRows = uint64_t{1} << 22;
+constexpr uint64_t kMaxColIndexEntries = uint64_t{1} << 24;
+
 // Positions (indices into `bag`) of the elements also present in `other`;
 // both inputs sorted.
 std::vector<int> SharedPositions(const std::vector<int>& bag,
@@ -212,22 +218,13 @@ bool PassesFilters(TupleView row,
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Per-worker evaluation state.
-//
-// The fields divide into CALL state — written by Prepare on this context
-// and read-only while its PreparedDp is live — and TRIAL scratch, used by
-// whichever context evaluates a trial. A lane context that only serves as
-// trial scratch for another context's prepared call never touches its own
-// call-state arrays.
+// Per-worker evaluation state: CALL state, written by Prepare and
+// read-only while its PreparedDp is live, and TRIAL scratch, rewritten by
+// every decision.
 
 struct SolverEvalContext::Impl {
-  // --- Call state (owned by the preparing context) -------------------------
-  bool call_configured = false;
-
-  // Cache-cap fallback: evaluate each decision monolithically over a
-  // mutable copy of the base domains (overlay applied and restored).
-  bool fallback = false;
-  VarDomains fallback_base;  // Pristine sized copy; lanes clone from it.
+  // --- Call state ----------------------------------------------------------
+  bool configured = false;
 
   // A trial-invariant bag died under the base domains: every trial is
   // "no solution".
@@ -260,42 +257,16 @@ struct SolverEvalContext::Impl {
   std::vector<std::vector<Value>> demand_keys;  // Per-node key scratch.
   bool demand_ok = false;  // All shared-key spaces within the cap.
 
-  // Generation of the Prepare this call state belongs to (stale-handle
-  // assertion and lane fallback sync).
+  // Number of Prepare calls on this context; a PreparedDp records the
+  // value it was built under (stale-handle assertion).
   uint64_t generation = 0;
 
-  // --- DpStats tallies (single writer: the thread using this context) -----
-  DecompositionSolver* owner = nullptr;  // Registered by NewContext.
-  std::atomic<uint64_t> prepare_calls{0};
-  std::atomic<uint64_t> prepared_decides{0};
-
-  ~Impl() {
-    if (owner != nullptr) owner->RetireContext(*this);
-  }
-
-  // --- Trial scratch (owned by the evaluating lane) ------------------------
-  bool trial_configured = false;
+  // --- Trial scratch -------------------------------------------------------
   std::vector<FlatTuples> trial_survivors;
   std::vector<ExistTable> trial_tables;
   std::vector<std::pair<int, const Bitset*>> filter_scratch;
   Tuple key_scratch;
-  // Lane-local mutable copy of a fallback call's base domains, synced
-  // from the preparing context by generation stamp.
-  VarDomains fallback_work;
-  SavedDomains fallback_saved;
-  uint64_t fallback_sync_generation = 0;
 };
-
-namespace {
-
-// Relaxed single-writer increment: no locked read-modify-write on the
-// trial path.
-void Bump(std::atomic<uint64_t>& counter) {
-  counter.store(counter.load(std::memory_order_relaxed) + 1,
-                std::memory_order_relaxed);
-}
-
-}  // namespace
 
 SolverEvalContext::SolverEvalContext() : impl_(std::make_unique<Impl>()) {}
 SolverEvalContext::~SolverEvalContext() = default;
@@ -304,12 +275,7 @@ SolverEvalContext& SolverEvalContext::operator=(SolverEvalContext&&) noexcept =
     default;
 
 bool PreparedDp::Decide(const std::vector<DomainRestriction>& extra) {
-  return solver_->DecidePrepared(*ctx_, *ctx_, generation_, extra);
-}
-
-bool PreparedDp::Decide(const std::vector<DomainRestriction>& extra,
-                        SolverEvalContext& lane) {
-  return solver_->DecidePrepared(*ctx_, *lane.impl_, generation_, extra);
+  return solver_->DecidePrepared(*ctx_, generation_, extra);
 }
 
 // ---------------------------------------------------------------------------
@@ -317,11 +283,7 @@ bool PreparedDp::Decide(const std::vector<DomainRestriction>& extra,
 
 DecompositionSolver::DecompositionSolver(const Query& q, const Database& db,
                                          TreeDecomposition td)
-    : DecompositionSolver(q, db, std::move(td), Options()) {}
-
-DecompositionSolver::DecompositionSolver(const Query& q, const Database& db,
-                                         TreeDecomposition td, Options opts)
-    : query_(q), db_(db), td_(std::move(td)), opts_(opts) {
+    : query_(q), db_(db), td_(std::move(td)) {
   children_ = td_.Children();
   const int num_nodes = td_.num_nodes();
   parent_.assign(num_nodes, -1);
@@ -451,8 +413,8 @@ bool DecompositionSolver::EnsureBagRowCache() {
   if (state == 1) return true;
   if (state == 2) return false;
 
-  // Fault-injection site: forces the monolithic-DP fallback (the same
-  // transition the cache cap takes) without a pathological database.
+  // Fault-injection site: forces the uncached path (the same transition
+  // the cache caps take) without a pathological database.
   if (failpoint::ShouldFail("dp.bag_cache_build")) {
     stat_prepared_path_.store(false, std::memory_order_relaxed);
     bag_row_cache_state_.store(2, std::memory_order_release);
@@ -466,7 +428,7 @@ bool DecompositionSolver::EnsureBagRowCache() {
     FlatTuples rows(static_cast<int>(td_.bags[t].size()));
     bool within_cap = true;
     joiners_[t].Enumerate(nullptr, [&](const Tuple& tup) {
-      if (total >= opts_.max_cached_bag_rows) {
+      if (total >= kMaxCachedBagRows) {
         within_cap = false;
         return false;
       }
@@ -486,16 +448,16 @@ bool DecompositionSolver::EnsureBagRowCache() {
   // Column value indexes (counting sort per column: values are dense).
   // Each column's index allocates universe+1 offsets, so the total
   // footprint is O(sum of bag widths * universe); cap it like the row
-  // cache and fall back to the monolithic DP past it (a huge sparse
-  // universe is also the regime where per-call O(universe) masks are
-  // the real cost anyway).
+  // cache and materialise per call past it (a huge sparse universe is
+  // also the regime where per-call O(universe) masks are the real cost
+  // anyway).
   const size_t universe = db_.universe_size();
   uint64_t index_entries = 0;
   for (int t = 0; t < num_nodes; ++t) {
     index_entries += static_cast<uint64_t>(bag_rows_[t].width()) *
                      (static_cast<uint64_t>(universe) + 1);
   }
-  if (index_entries > (uint64_t{1} << 24)) {
+  if (index_entries > kMaxColIndexEntries) {
     bag_rows_.clear();
     stat_prepared_path_.store(false, std::memory_order_relaxed);
     bag_row_cache_state_.store(2, std::memory_order_release);
@@ -527,44 +489,18 @@ bool DecompositionSolver::EnsureBagRowCache() {
   return true;
 }
 
-std::unique_ptr<SolverEvalContext> DecompositionSolver::NewContext() {
-  std::unique_ptr<SolverEvalContext> ctx(new SolverEvalContext());
-  std::lock_guard<std::mutex> lock(contexts_mu_);
-  ctx->impl_->owner = this;
-  contexts_.push_back(ctx->impl_.get());
-  return ctx;
-}
-
-void DecompositionSolver::RetireContext(const SolverEvalContext::Impl& ctx) {
-  std::lock_guard<std::mutex> lock(contexts_mu_);
-  retired_prepare_calls_ += ctx.prepare_calls.load(std::memory_order_relaxed);
-  retired_prepared_decides_ +=
-      ctx.prepared_decides.load(std::memory_order_relaxed);
-  contexts_.erase(std::find(contexts_.begin(), contexts_.end(), &ctx));
-}
-
 std::unique_ptr<SolverEvalContext> DecompositionSolver::CreateEvalContext() {
-  return NewContext();
+  return std::unique_ptr<SolverEvalContext>(new SolverEvalContext());
 }
 
 SolverEvalContext::Impl& DecompositionSolver::DefaultContext() {
   std::lock_guard<std::mutex> lock(default_ctx_mu_);
-  if (default_ctx_ == nullptr) default_ctx_ = NewContext();
+  if (default_ctx_ == nullptr) default_ctx_ = CreateEvalContext();
   return *default_ctx_->impl_;
 }
 
 DecompositionSolver::DpStats DecompositionSolver::dp_stats() const {
   DpStats stats;
-  {
-    std::lock_guard<std::mutex> lock(contexts_mu_);
-    stats.prepare_calls = retired_prepare_calls_;
-    stats.prepared_decides = retired_prepared_decides_;
-    for (const SolverEvalContext::Impl* ctx : contexts_) {
-      stats.prepare_calls += ctx->prepare_calls.load(std::memory_order_relaxed);
-      stats.prepared_decides +=
-          ctx->prepared_decides.load(std::memory_order_relaxed);
-    }
-  }
   stats.cached_bag_rows = stat_cached_bag_rows_.load(std::memory_order_relaxed);
   stats.prepared_path = stat_prepared_path_.load(std::memory_order_relaxed);
   return stats;
@@ -584,26 +520,11 @@ PreparedDp DecompositionSolver::Prepare(const VarDomains& base,
 PreparedDp DecompositionSolver::PrepareOn(
     SolverEvalContext::Impl& sc, const VarDomains& base,
     const std::vector<int>& overlay_vars) {
-  sc.generation =
-      prepare_generation_.fetch_add(1, std::memory_order_relaxed) + 1;
-  PreparedDp prepared(this, &sc, sc.generation);
-
-  if (!EnsureBagRowCache()) {
-    sc.fallback = true;
-    sc.fallback_base = base;
-    // Cover every overlaid variable even when the caller passed a
-    // shorter (but non-empty) domain vector.
-    if (sc.fallback_base.allowed.size() <
-        static_cast<size_t>(query_.num_vars())) {
-      sc.fallback_base.allowed.resize(static_cast<size_t>(query_.num_vars()));
-    }
-    return prepared;
-  }
-  Bump(sc.prepare_calls);
-  sc.fallback = false;
+  PreparedDp prepared(this, &sc, ++sc.generation);
+  const bool cached = EnsureBagRowCache();
 
   const int num_nodes = td_.num_nodes();
-  if (!sc.call_configured) {
+  if (!sc.configured) {
     sc.call_rows.resize(num_nodes);
     sc.filtered_storage.resize(num_nodes);
     sc.overlay_cols.resize(num_nodes);
@@ -615,10 +536,14 @@ PreparedDp DecompositionSolver::PrepareOn(
     sc.demand_memo.resize(num_nodes);
     sc.demand_keys.resize(num_nodes);
     sc.demand_ok = true;
+    sc.trial_survivors.resize(num_nodes);
+    sc.trial_tables.resize(num_nodes);
     for (int c = 0; c < num_nodes; ++c) {
       if (parent_[c] < 0) continue;
       sc.static_tables[c].Configure(db_.universe_size(), shared_in_parent_[c],
                                     shared_in_child_[c]);
+      sc.trial_tables[c].Configure(db_.universe_size(), shared_in_parent_[c],
+                                   shared_in_child_[c]);
       if (sc.static_tables[c].oversize) {
         sc.demand_ok = false;
       } else {
@@ -627,64 +552,71 @@ PreparedDp DecompositionSolver::PrepareOn(
         sc.demand_keys[c].resize(shared_in_child_[c].size());
       }
     }
-    sc.call_configured = true;
+    sc.configured = true;
   }
   sc.always_false = false;
 
   std::fill(sc.is_overlay.begin(), sc.is_overlay.end(), 0);
   for (int v : overlay_vars) sc.is_overlay[static_cast<size_t>(v)] = 1;
 
-  // Streams the cached rows of bag `t` that pass `filters`, driving the
-  // iteration from the most selective restricted column's value index
-  // (a singleton V_i then touches only that value's run instead of the
-  // whole cache — cross-product bags from fill edges make the difference
-  // quadratic). `fn` returns false to stop early.
-  auto stream_filtered =
-      [&](int t, const std::vector<std::pair<int, const Bitset*>>& filters,
-          auto&& fn) {
-        const FlatTuples& full = bag_rows_[t];
-        size_t best_cost = full.size();
-        int best = -1;
-        for (size_t k = 0; k < filters.size(); ++k) {
-          const auto& [col, mask] = filters[k];
-          const ColIndex& ix = bag_col_index_[t][static_cast<size_t>(col)];
-          const size_t vmax = std::min(mask->size(), ix.starts.size() - 1);
-          size_t cost = 0;
-          for (size_t v = mask->FindNext(0); v < vmax && cost < best_cost;
-               v = mask->FindNext(v + 1)) {
-            cost += ix.starts[v + 1] - ix.starts[v];
-          }
-          if (cost < best_cost) {
-            best_cost = cost;
-            best = static_cast<int>(k);
-          }
+  // Streams the rows of bag `t` that satisfy the base domains; `fn`
+  // returns false to stop early. Cached: the cached rows that pass the
+  // base filters, driving the iteration from the most selective
+  // restricted column's value index (a singleton V_i then touches only
+  // that value's run instead of the whole cache — cross-product bags
+  // from fill edges make the difference quadratic). Uncached: the bag
+  // join itself, run under the base domains.
+  auto stream_base = [&](int t, auto&& fn) {
+    if (!cached) {
+      joiners_[t].Enumerate(
+          &base, [&fn](const Tuple& row) { return fn(AsView(row)); });
+      return;
+    }
+    const std::vector<std::pair<int, const Bitset*>>& filters =
+        sc.base_filters[t];
+    const FlatTuples& full = bag_rows_[t];
+    size_t best_cost = full.size();
+    int best = -1;
+    for (size_t k = 0; k < filters.size(); ++k) {
+      const auto& [col, mask] = filters[k];
+      const ColIndex& ix = bag_col_index_[t][static_cast<size_t>(col)];
+      const size_t vmax = std::min(mask->size(), ix.starts.size() - 1);
+      size_t cost = 0;
+      for (size_t v = mask->FindNext(0); v < vmax && cost < best_cost;
+           v = mask->FindNext(v + 1)) {
+        cost += ix.starts[v + 1] - ix.starts[v];
+      }
+      if (cost < best_cost) {
+        best_cost = cost;
+        best = static_cast<int>(k);
+      }
+    }
+    if (best < 0) {
+      // No restricted column narrows below a full scan.
+      for (size_t i = 0; i < full.size(); ++i) {
+        if (!PassesFilters(full[i], filters)) continue;
+        if (!fn(full[i])) return;
+      }
+      return;
+    }
+    const auto& [best_col, best_mask] = filters[static_cast<size_t>(best)];
+    const ColIndex& ix = bag_col_index_[t][static_cast<size_t>(best_col)];
+    const size_t vmax = std::min(best_mask->size(), ix.starts.size() - 1);
+    for (size_t v = best_mask->FindNext(0); v < vmax;
+         v = best_mask->FindNext(v + 1)) {
+      for (uint32_t at = ix.starts[v]; at < ix.starts[v + 1]; ++at) {
+        TupleView row = full[ix.perm[at]];
+        bool pass = true;
+        for (size_t k = 0; k < filters.size() && pass; ++k) {
+          if (static_cast<int>(k) == best) continue;
+          pass = filters[k].second->Test(
+              row[static_cast<size_t>(filters[k].first)]);
         }
-        if (best < 0) {
-          // No restricted column narrows below a full scan.
-          for (size_t i = 0; i < full.size(); ++i) {
-            if (!PassesFilters(full[i], filters)) continue;
-            if (!fn(full[i])) return;
-          }
-          return;
-        }
-        const auto& [best_col, best_mask] = filters[static_cast<size_t>(best)];
-        const ColIndex& ix = bag_col_index_[t][static_cast<size_t>(best_col)];
-        const size_t vmax = std::min(best_mask->size(), ix.starts.size() - 1);
-        for (size_t v = best_mask->FindNext(0); v < vmax;
-             v = best_mask->FindNext(v + 1)) {
-          for (uint32_t at = ix.starts[v]; at < ix.starts[v + 1]; ++at) {
-            TupleView row = full[ix.perm[at]];
-            bool pass = true;
-            for (size_t k = 0; k < filters.size() && pass; ++k) {
-              if (static_cast<int>(k) == best) continue;
-              pass = filters[k].second->Test(
-                  row[static_cast<size_t>(filters[k].first)]);
-            }
-            if (!pass) continue;
-            if (!fn(row)) return;
-          }
-        }
-      };
+        if (!pass) continue;
+        if (!fn(row)) return;
+      }
+    }
+  };
 
   // Per-bag overlay columns, base filters, and the dynamic flag (a bag
   // is per-trial dynamic iff its subtree contains an overlay var).
@@ -719,7 +651,9 @@ PreparedDp DecompositionSolver::PrepareOn(
   // by the bottom-up pass — but only DEMANDED keys are ever evaluated,
   // and a witness short-circuits the whole tree. On edge-present boxes
   // (the common DLM case) this touches a vanishing fraction of the rows.
-  if (!sc.dynamic_bag[td_.root] && sc.demand_ok) {
+  // Needs the cached rows' column indexes; uncached overlay-free calls
+  // take step 2b, which settles the root as well.
+  if (cached && !sc.dynamic_bag[td_.root] && sc.demand_ok) {
     for (int c = 0; c < num_nodes; ++c) {
       SolverEvalContext::Impl::DemandMemo& memo = sc.demand_memo[c];
       if (memo.stamp.empty()) continue;
@@ -781,14 +715,14 @@ PreparedDp DecompositionSolver::PrepareOn(
         }
       } else {
         // No shared columns: any surviving row of the subtree will do.
-        stream_filtered(c, sc.base_filters[c], consider);
+        stream_base(c, consider);
       }
       memo.stamp[static_cast<size_t>(code)] = memo.epoch;
       memo.result[static_cast<size_t>(code)] = found ? 1 : 0;
       return found;
     };
     bool found = false;
-    stream_filtered(td_.root, sc.base_filters[td_.root], [&](TupleView row) {
+    stream_base(td_.root, [&](TupleView row) {
       for (int c : children_[td_.root]) {
         if (!exists(exists, c, row)) return true;  // Next root row.
       }
@@ -803,13 +737,13 @@ PreparedDp DecompositionSolver::PrepareOn(
   // materialised (the trial loop re-scans them with colour masks).
   for (int t = 0; t < num_nodes; ++t) {
     if (!sc.dynamic_bag[t]) continue;
-    if (sc.base_filters[t].empty()) {
+    if (cached && sc.base_filters[t].empty()) {
       sc.call_rows[t] = &bag_rows_[t];
       continue;
     }
     FlatTuples& out = sc.filtered_storage[t];
-    out.Reset(bag_rows_[t].width());
-    stream_filtered(t, sc.base_filters[t], [&out](TupleView row) {
+    out.Reset(static_cast<int>(td_.bags[t].size()));
+    stream_base(t, [&out](TupleView row) {
       out.PushBack(row);
       return true;
     });
@@ -825,9 +759,9 @@ PreparedDp DecompositionSolver::PrepareOn(
     if (sc.dynamic_bag[t]) continue;
     const bool is_root = t == td_.root;  // Possible only with no overlay.
     FlatTuples& out = sc.static_survivors[t];
-    out.Reset(bag_rows_[t].width());
+    out.Reset(static_cast<int>(td_.bags[t].size()));
     bool found = false;
-    stream_filtered(t, sc.base_filters[t], [&](TupleView row) {
+    stream_base(t, [&](TupleView row) {
       for (int c : children_[t]) {
         if (!sc.static_tables[c].ContainsParentRow(row, prepare_key_scratch)) {
           return true;
@@ -856,60 +790,31 @@ PreparedDp DecompositionSolver::PrepareOn(
 }
 
 bool DecompositionSolver::DecidePrepared(
-    SolverEvalContext::Impl& sc, SolverEvalContext::Impl& trial,
-    uint64_t generation, const std::vector<DomainRestriction>& extra) {
+    SolverEvalContext::Impl& sc, uint64_t generation,
+    const std::vector<DomainRestriction>& extra) {
   assert(generation == sc.generation &&
          "stale PreparedDp: a newer Prepare call took this context");
   (void)generation;
 
-  if (sc.fallback) {
-    // Lane-local mutable copy of the base (synced once per Prepare), then
-    // copy only the <= 2|Delta| endpoint domains, decide, restore.
-    if (trial.fallback_sync_generation != sc.generation) {
-      trial.fallback_work = sc.fallback_base;
-      trial.fallback_sync_generation = sc.generation;
-    }
-    ApplyOverlay(trial.fallback_work, extra, trial.fallback_saved);
-    const bool verdict = RunDp(&trial.fallback_work, nullptr);
-    RestoreOverlay(trial.fallback_work, trial.fallback_saved);
-    return verdict;
-  }
-
-  Bump(trial.prepared_decides);
   if (sc.always_false) return false;
   const int root = td_.root;
   // No overlay anywhere: the Prepare-time pass already established the
   // verdict (root survivors were non-empty).
   if (!sc.dynamic_bag[root]) return true;
 
-  // Trial scratch: sized lazily so a lane context serving another
-  // context's prepared call configures itself on first use.
-  if (!trial.trial_configured) {
-    const int num_nodes = td_.num_nodes();
-    trial.trial_survivors.resize(num_nodes);
-    trial.trial_tables.resize(num_nodes);
-    for (int c = 0; c < num_nodes; ++c) {
-      if (parent_[c] < 0) continue;
-      trial.trial_tables[c].Configure(db_.universe_size(),
-                                      shared_in_parent_[c],
-                                      shared_in_child_[c]);
-    }
-    trial.trial_configured = true;
-  }
-
   for (int t : post_order_) {
     if (!sc.dynamic_bag[t]) continue;
     const FlatTuples& in = *sc.call_rows[t];
     const bool is_root = t == root;
 
-    trial.filter_scratch.clear();
+    sc.filter_scratch.clear();
     for (const auto& [col, var] : sc.overlay_cols[t]) {
       for (const DomainRestriction& r : extra) {
-        if (r.var == var) trial.filter_scratch.push_back({col, r.mask});
+        if (r.var == var) sc.filter_scratch.push_back({col, r.mask});
       }
     }
 
-    FlatTuples& out = trial.trial_survivors[t];
+    FlatTuples& out = sc.trial_survivors[t];
     out.Reset(in.width());
     const std::vector<int>& kids = children_[t];
     // Word-parallel semijoin: rows are filtered in 64-row blocks, one
@@ -923,9 +828,9 @@ bool DecompositionSolver::DecidePrepared(
       const size_t block = std::min<size_t>(64, in.size() - i);
       uint64_t alive =
           block == 64 ? ~uint64_t{0} : (uint64_t{1} << block) - 1;
-      if (!trial.filter_scratch.empty()) {
+      if (!sc.filter_scratch.empty()) {
         for (size_t b = 0; b < block; ++b) {
-          if (!PassesFilters(in[i + b], trial.filter_scratch)) {
+          if (!PassesFilters(in[i + b], sc.filter_scratch)) {
             alive &= ~(uint64_t{1} << b);
           }
         }
@@ -934,11 +839,11 @@ bool DecompositionSolver::DecidePrepared(
       for (int c : kids) {
         if (alive == 0) break;
         const ExistTable& table =
-            sc.dynamic_bag[c] ? trial.trial_tables[c] : sc.static_tables[c];
+            sc.dynamic_bag[c] ? sc.trial_tables[c] : sc.static_tables[c];
         if (table.oversize) {
           for (size_t b = 0; b < block; ++b) {
             if ((alive >> b & 1) != 0 &&
-                !table.ContainsParentRow(in[i + b], trial.key_scratch)) {
+                !table.ContainsParentRow(in[i + b], sc.key_scratch)) {
               alive &= ~(uint64_t{1} << b);
             }
           }
@@ -955,7 +860,7 @@ bool DecompositionSolver::DecidePrepared(
     }
     if (is_root || out.empty()) return false;
 
-    trial.trial_tables[t].Build(out);
+    sc.trial_tables[t].Build(out);
   }
   // The root is an ancestor of every bag, so a non-empty overlay always
   // returns from inside the loop; this covers the degenerate case of an

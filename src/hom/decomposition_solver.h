@@ -28,22 +28,21 @@
 // A query with no disequalities degenerates to step 2 entirely: a trial
 // is a cached-verdict lookup.
 //
-// Concurrency model (the intra-query parallel estimation path): the
-// solver's state is layered by mutability.
+// When the step-1 cache is unavailable (its row or index cap is exceeded,
+// or the `dp.bag_cache_build` failpoint fires), step 2 materialises each
+// bag's join under the base domains instead of filtering cached rows;
+// step 3 then runs unchanged over those rows.
+//
+// Concurrency model: the solver's state is layered by mutability.
 //   - Construction state (decomposition topology, per-bag joiners) and
 //     the step-1 bag-row cache with its column indexes are IMMUTABLE once
 //     built; the cache build itself is mutex-guarded and idempotent, so
 //     any number of workers may share one solver.
 //   - Everything per-call and per-trial lives in a SolverEvalContext.
-//     Each worker lane owns one context; Prepare/Decide chains on
-//     distinct contexts never touch shared mutable state and may run
-//     fully concurrently.
-//   - Within one prepared call, the call state (base-filtered rows,
-//     static tables) is read-only during trials, so trials of a single
-//     PreparedDp may ALSO fan out: each lane passes its own context to
-//     Decide and uses only that context's trial scratch.
-// The legacy single-threaded API (Prepare/Decide without a context) runs
-// on a solver-owned default context.
+//     Each DLM lane owns one context (through its oracle fork);
+//     Prepare/Decide chains on distinct contexts never touch shared
+//     mutable state and may run fully concurrently.
+// The context-free Prepare runs on a solver-owned default context.
 #ifndef CQCOUNT_HOM_DECOMPOSITION_SOLVER_H_
 #define CQCOUNT_HOM_DECOMPOSITION_SOLVER_H_
 
@@ -64,10 +63,10 @@ class DecompositionSolver;
 
 /// Per-worker evaluation state: the scratch of one Prepare (call state,
 /// rebuilt per EdgeFree call) plus the per-trial scratch (epoch-stamped
-/// semijoin tables, overlay buffers). One context must never be used from
-/// two threads at once; distinct contexts are fully independent. Obtained
-/// from DecompositionSolver::CreateEvalContext; must not outlive the
-/// solver.
+/// semijoin tables, overlay buffers) its decisions reuse. One context
+/// must never be used from two threads at once; distinct contexts are
+/// fully independent. Obtained from DecompositionSolver::CreateEvalContext;
+/// must not outlive the solver.
 class SolverEvalContext {
  public:
   ~SolverEvalContext();
@@ -95,12 +94,6 @@ class PreparedDp {
   /// on the context the instance was prepared on (single-threaded use).
   bool Decide(const std::vector<DomainRestriction>& extra);
 
-  /// Lane-concurrent variant: evaluates the trial with `lane`'s trial
-  /// scratch against this instance's (read-only) call state. Decisions on
-  /// distinct lane contexts may run concurrently.
-  bool Decide(const std::vector<DomainRestriction>& extra,
-              SolverEvalContext& lane);
-
  private:
   friend class DecompositionSolver;
   PreparedDp(DecompositionSolver* solver, SolverEvalContext::Impl* ctx,
@@ -117,40 +110,30 @@ class PreparedDp {
 /// Thread-compatible: the construction state and the bag-row cache are
 /// shared and immutable (the cache build is internally synchronised);
 /// concurrent callers must each use their own SolverEvalContext (the
-/// context-free API serialises on the solver's default context).
+/// context-free Prepare shares the solver's default context, so its
+/// callers must not overlap).
 class DecompositionSolver {
  public:
-  /// Observability of the prepare/evaluate split (plumbed up into engine
+  /// Observability of the bag-row cache (plumbed up into engine
   /// provenance so perf work shows up in Explain output).
   struct DpStats {
-    /// Prepared (per-EdgeFree-call) instances built.
-    uint64_t prepare_calls = 0;
-    /// Trial decisions answered through prepared instances.
-    uint64_t prepared_decides = 0;
     /// Total rows in the per-solver unrestricted bag-join cache.
     uint64_t cached_bag_rows = 0;
-    /// False when the cache cap was hit and decisions fell back to the
-    /// monolithic per-call DP.
+    /// False when the bag-row cache is over its cap and Prepare
+    /// materialises the bag rows per call instead.
     bool prepared_path = true;
-  };
-
-  struct Options {
-    /// Cap (total rows across bags) on the unrestricted bag-join cache;
-    /// past it Prepare falls back to the monolithic DP per decision.
-    uint64_t max_cached_bag_rows = uint64_t{1} << 22;
   };
 
   /// `td` must be a valid decomposition of H(q); the query and database
   /// must outlive the solver.
   DecompositionSolver(const Query& q, const Database& db,
                       TreeDecomposition td);
-  DecompositionSolver(const Query& q, const Database& db,
-                      TreeDecomposition td, Options opts);
   ~DecompositionSolver();
 
   /// True iff (phi, D) has a solution (ignoring disequalities) whose values
   /// respect `domains` (may be null). Monolithic evaluation (one-shot
-  /// callers and the property-test reference for the prepared path).
+  /// callers and the property-test reference for the prepared path; the
+  /// prepared path never runs it).
   /// Const and thread-safe: uses only local scratch.
   bool Decide(const VarDomains* domains) const;
 
@@ -178,13 +161,11 @@ class DecompositionSolver {
                      SolverEvalContext& ctx);
 
   const TreeDecomposition& decomposition() const { return td_; }
-  /// Snapshot of the prepare/evaluate counters (aggregated over all
-  /// contexts).
+  /// Snapshot of the bag-row cache state.
   DpStats dp_stats() const;
 
  private:
   friend class PreparedDp;
-  friend struct SolverEvalContext::Impl;  // Retires its tallies.
 
   // Shared bottom-up pass. If `total` is null, performs the decision
   // variant; otherwise computes per-tuple extension counts.
@@ -192,16 +173,14 @@ class DecompositionSolver {
 
   // Materialises and caches every bag's unrestricted join (idempotent,
   // mutex-guarded; the cache is immutable once state_ is published).
-  // Returns false when the row cap was exceeded (cache disabled).
+  // Returns false when a cap was exceeded (cache disabled).
   bool EnsureBagRowCache();
 
   PreparedDp PrepareOn(SolverEvalContext::Impl& ctx, const VarDomains& base,
                        const std::vector<int>& overlay_vars);
 
-  // One prepared trial decision: call state from `ctx`, trial scratch
-  // from `trial` (== &ctx for the single-threaded path).
-  bool DecidePrepared(SolverEvalContext::Impl& ctx,
-                      SolverEvalContext::Impl& trial, uint64_t generation,
+  // One prepared trial decision against `ctx`'s call state and scratch.
+  bool DecidePrepared(SolverEvalContext::Impl& ctx, uint64_t generation,
                       const std::vector<DomainRestriction>& extra);
 
   SolverEvalContext::Impl& DefaultContext();
@@ -220,7 +199,7 @@ class DecompositionSolver {
   std::vector<BagJoiner> joiners_;
   // Per-solver cache of unrestricted bag joins (step 1 of the split),
   // shared and immutable after the build completes.
-  // 0 = not built, 1 = built, 2 = over cap (prepared path disabled).
+  // 0 = not built, 1 = built, 2 = over cap (rows materialised per call).
   std::mutex cache_mu_;
   std::atomic<int> bag_row_cache_state_{0};
   std::vector<FlatTuples> bag_rows_;
@@ -234,27 +213,11 @@ class DecompositionSolver {
     std::vector<uint32_t> starts;  // universe_size + 1 offsets.
   };
   std::vector<std::vector<ColIndex>> bag_col_index_;
-  // Registers a new context's DpStats tallies (read by dp_stats()).
-  std::unique_ptr<SolverEvalContext> NewContext();
-  // Folds a dying context's tallies into the retired totals.
-  void RetireContext(const SolverEvalContext::Impl& ctx);
-
-  Options opts_;
-  // Prepare/decide tallies live per context (single writer each, so lanes
-  // never share a written cache line); dp_stats() sums the live contexts
-  // and the totals of destroyed ones. Declared before default_ctx_, which
-  // retires into them on destruction.
-  mutable std::mutex contexts_mu_;
-  std::vector<const SolverEvalContext::Impl*> contexts_;
-  uint64_t retired_prepare_calls_ = 0;
-  uint64_t retired_prepared_decides_ = 0;
   std::atomic<uint64_t> stat_cached_bag_rows_{0};
   std::atomic<bool> stat_prepared_path_{true};
   // Default evaluation context backing the context-free API.
   std::unique_ptr<SolverEvalContext> default_ctx_;
   std::mutex default_ctx_mu_;  // Guards lazy creation only.
-  // Bumped once per Prepare by every lane: on its own cache line.
-  alignas(64) std::atomic<uint64_t> prepare_generation_{0};
 };
 
 }  // namespace cqcount

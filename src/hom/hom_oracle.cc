@@ -53,7 +53,7 @@ class DecompositionHomContext : public HomContext {
 };
 
 // Prepared decisions delegated to the solver's trial-reuse DP. Decisions
-// are tallied on the evaluating context when there is one (no shared
+// are tallied on the preparing context when there is one (no shared
 // write per trial), else on the owning oracle.
 class DecompositionPreparedHom : public PreparedHom {
  public:
@@ -68,13 +68,6 @@ class DecompositionPreparedHom : public PreparedHom {
       owner_->RecordPreparedDecide();
     }
     return prepared_.Decide(extra);
-  }
-
-  bool Decide(const std::vector<DomainRestriction>& extra,
-              HomContext& lane) override {
-    lane.RecordDecide();
-    return prepared_.Decide(extra,
-                            static_cast<DecompositionHomContext&>(lane).ctx());
   }
 
  private:

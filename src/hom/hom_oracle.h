@@ -22,9 +22,9 @@
 // another context's mutable state, so worker lanes holding distinct
 // contexts may prepare and decide concurrently against one oracle (the
 // decomposition oracle maps contexts onto SolverEvalContexts; the shared
-// bag-join row cache is immutable). Decide(extra, lane) evaluates one
-// trial with another context's trial scratch against the prepared
-// (read-only) call state.
+// bag-join row cache is immutable). Each DLM lane drives its own oracle
+// fork and context; the trials of one prepared call run in order on that
+// lane.
 #ifndef CQCOUNT_HOM_HOM_ORACLE_H_
 #define CQCOUNT_HOM_HOM_ORACLE_H_
 
@@ -81,10 +81,10 @@ class PreparedHom {
   /// context the instance was prepared on.
   virtual bool Decide(const std::vector<DomainRestriction>& extra) = 0;
 
-  /// Lane-concurrent variant: evaluates the trial with `lane`'s scratch.
-  /// Distinct lanes may call concurrently when the owning oracle
-  /// SupportsConcurrentDecides(); the default forwards to Decide (only
-  /// correct sequentially).
+  /// Lane-scoped variant; forwards to Decide. Nothing in the library
+  /// overrides or calls it (the trials of one prepared call run in order
+  /// on one lane); it stays declared because the benchmark's tracing
+  /// wrapper (perfbench/src/traced_stack.cc) overrides it.
   virtual bool Decide(const std::vector<DomainRestriction>& extra,
                       HomContext& lane) {
     (void)lane;
@@ -163,6 +163,7 @@ class DecompositionHomOracle : public HomOracle {
 
   bool Decide(const VarDomains& domains) override {
     RecordDecide();
+    plain_decides_.fetch_add(1, std::memory_order_relaxed);
     return solver_.Decide(&domains);
   }
 
@@ -178,11 +179,18 @@ class DecompositionHomOracle : public HomOracle {
   std::unique_ptr<HomContext> CreateContext() override;
   bool SupportsConcurrentDecides() const override { return true; }
 
-  /// Prepare/evaluate observability for engine provenance.
+  /// Bag-row cache observability for engine provenance.
   DecompositionSolver::DpStats dp_stats() const { return solver_.dp_stats(); }
+
+  /// Decisions answered through prepared instances: every decision
+  /// num_calls() counts except the plain Decide(domains) ones.
+  uint64_t prepared_decides() const {
+    return num_calls() - plain_decides_.load(std::memory_order_relaxed);
+  }
 
  private:
   DecompositionSolver solver_;
+  std::atomic<uint64_t> plain_decides_{0};
 };
 
 /// Exponential-time oracle via plain backtracking (cross-validation). The

@@ -78,49 +78,6 @@ uint64_t ScalarProbeStampsBlock(const uint32_t* stamps, size_t space,
 #if CQCOUNT_SIMD_X86
 
 // ---------------------------------------------------------------------------
-// SSE2 kernels. SSE2 is baseline on x86-64; the contiguous (stride 1) scans
-// vectorise, strided scans fall back to scalar (no gather before AVX2).
-// ---------------------------------------------------------------------------
-
-__attribute__((target("sse2"))) size_t Sse2LinearLowerBound(
-    const Value* base, size_t stride, size_t n, Value v) {
-  if (stride != 1) return ScalarLinearLowerBound(base, stride, n, v);
-  const __m128i bias = _mm_set1_epi32(static_cast<int>(kSignBias));
-  const __m128i vv = _mm_xor_si128(_mm_set1_epi32(static_cast<int>(v)), bias);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128i keys = _mm_xor_si128(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(base + i)), bias);
-    // Lane bit set while key < v; the first clear lane is the bound.
-    const int lt = _mm_movemask_ps(_mm_castsi128_ps(_mm_cmplt_epi32(keys, vv)));
-    if (lt != 0xF) return i + static_cast<size_t>(__builtin_ctz(~lt & 0xF));
-  }
-  for (; i < n; ++i) {
-    if (base[i] >= v) return i;
-  }
-  return n;
-}
-
-__attribute__((target("sse2"))) size_t Sse2LinearUpperBound(
-    const Value* base, size_t stride, size_t n, Value v) {
-  if (stride != 1) return ScalarLinearUpperBound(base, stride, n, v);
-  const __m128i bias = _mm_set1_epi32(static_cast<int>(kSignBias));
-  const __m128i vv = _mm_xor_si128(_mm_set1_epi32(static_cast<int>(v)), bias);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128i keys = _mm_xor_si128(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(base + i)), bias);
-    // Lane bit set where key > v; the first set lane is the bound.
-    const int gt = _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpgt_epi32(keys, vv)));
-    if (gt != 0) return i + static_cast<size_t>(__builtin_ctz(gt));
-  }
-  for (; i < n; ++i) {
-    if (base[i] > v) return i;
-  }
-  return n;
-}
-
-// ---------------------------------------------------------------------------
 // AVX2 kernels: 8-lane scans; strided access and the stamp probe use
 // vpgatherdd. Compiled per-function via target("avx2") so the binary stays
 // runnable on pre-AVX2 hardware.
@@ -334,7 +291,6 @@ Level DetectMaxLevel() {
 #if CQCOUNT_SIMD_X86
   __builtin_cpu_init();
   if (__builtin_cpu_supports("avx2")) return Level::kAvx2;
-  if (__builtin_cpu_supports("sse2")) return Level::kSse2;
 #endif
   return Level::kScalar;
 }
@@ -347,7 +303,6 @@ Level LevelFromEnv(Level max_level) {
   if (s == "scalar" || s == "off" || s == "0" || s == "none") {
     return Level::kScalar;
   }
-  if (s == "sse2") return MinLevel(Level::kSse2, max_level);
   if (s == "avx2") return MinLevel(Level::kAvx2, max_level);
   return max_level;  // Unknown value: ignore rather than crash.
 }
@@ -363,8 +318,6 @@ const char* LevelName(Level level) {
   switch (level) {
     case Level::kScalar:
       return "scalar";
-    case Level::kSse2:
-      return "sse2";
     case Level::kAvx2:
       return "avx2";
   }
@@ -390,7 +343,6 @@ size_t LinearLowerBoundStridedAt(Level level, const Value* base,
                                  size_t stride, size_t n, Value v) {
 #if CQCOUNT_SIMD_X86
   if (level == Level::kAvx2) return Avx2LinearLowerBound(base, stride, n, v);
-  if (level == Level::kSse2) return Sse2LinearLowerBound(base, stride, n, v);
 #else
   (void)level;
 #endif
@@ -401,7 +353,6 @@ size_t LinearUpperBoundStridedAt(Level level, const Value* base,
                                  size_t stride, size_t n, Value v) {
 #if CQCOUNT_SIMD_X86
   if (level == Level::kAvx2) return Avx2LinearUpperBound(base, stride, n, v);
-  if (level == Level::kSse2) return Sse2LinearUpperBound(base, stride, n, v);
 #else
   (void)level;
 #endif

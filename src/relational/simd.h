@@ -2,14 +2,14 @@
 //
 // Dispatch model
 // --------------
-// Every kernel exists at three levels — scalar, SSE2, AVX2 — and all
-// levels compute EXACTLY the same result (these are exact integer
-// algorithms, not approximations), so the level is purely a speed knob
-// and estimates stay bit-identical whichever path runs. The active level
-// is resolved once per process from CPU capability (via
-// __builtin_cpu_supports) clamped by the CQCOUNT_SIMD environment
-// variable ("scalar"/"off", "sse2", "avx2"); tests and benches can pin a
-// level explicitly with SetLevelForTesting or call the *At entry points.
+// Every kernel exists at two levels — scalar and AVX2 — and both compute
+// EXACTLY the same result (these are exact integer algorithms, not
+// approximations), so the level is purely a speed knob and estimates stay
+// bit-identical whichever path runs. The active level is resolved once
+// per process from CPU capability (via __builtin_cpu_supports) clamped by
+// the CQCOUNT_SIMD environment variable ("scalar"/"off", "avx2"); x86
+// CPUs without AVX2 run scalar. Tests and benches can pin a level
+// explicitly with SetLevelForTesting or call the *At entry points.
 //
 // The binary stays portable: AVX2 code is compiled per-function with
 // __attribute__((target("avx2"))) instead of a global -mavx2, so nothing
@@ -40,17 +40,19 @@ namespace simd {
 
 using Value = uint32_t;
 
-enum class Level : int { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
+enum class Level : int { kScalar = 0, kAvx2 = 1 };
 
-/// Human-readable level name ("scalar", "sse2", "avx2").
+/// Human-readable level name ("scalar", "avx2").
 const char* LevelName(Level level);
 
 /// Highest level this CPU supports (compile-target and cpuid gated).
 Level MaxSupportedLevel();
 
 /// The level dispatch uses: MaxSupportedLevel() clamped by CQCOUNT_SIMD
-/// ("scalar"/"off"/"0" -> scalar, "sse2", "avx2") and by
-/// SetLevelForTesting. Resolved once, then constant-time.
+/// ("scalar"/"off"/"0"/"none" -> scalar, "avx2") and by
+/// SetLevelForTesting. Any other value (e.g. "sse2") is unrecognised and
+/// ignored: dispatch then uses MaxSupportedLevel(). Resolved once, then
+/// constant-time.
 Level ActiveLevel();
 
 /// Pins the active level (clamped to MaxSupportedLevel) for tests and

@@ -113,7 +113,8 @@ struct EstimateOutcome {
   /// they shared. Zero without a decomposition DP.
   uint64_t dp_prepared_decides = 0;
   uint64_t dp_cached_bag_rows = 0;
-  /// False when the bag-join cache cap forced the monolithic per-call DP.
+  /// False when the bag-row cache was over its cap and the prepared DP
+  /// materialised bag rows per call.
   bool dp_prepared_path = true;
   /// Outer-median runs completed / scheduled. Differ only on partial
   /// results (interrupted runs are discarded; the anytime interval

@@ -1,21 +1,26 @@
 // Property tests for the prepare/evaluate DP split (the colour-coding
 // trial-reuse hot path): prepared decisions must be indistinguishable
-// from the monolithic DP, and the full estimator pipeline must produce
-// bit-identical estimates under fixed seeds regardless of which oracle
-// evaluation path serves the trials.
+// from the monolithic DP, with and without the bag-row cache, and the
+// full estimator pipeline must produce bit-identical estimates under
+// fixed seeds regardless of which oracle evaluation path serves the
+// trials.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "counting/colour_coding.h"
 #include "counting/dlm_counter.h"
+#include "counting/fptras.h"
 #include "decomposition/elimination_order.h"
 #include "engine/engine.h"
 #include "hom/hom_oracle.h"
 #include "query/parser.h"
 #include "test_util.h"
+#include "util/executor.h"
+#include "util/failpoint.h"
 
 namespace cqcount {
 namespace {
@@ -75,8 +80,9 @@ VarDomains MergeOverlay(const Query& q, const VarDomains& base,
 
 // Core property over ~100 random (query, database, base, trials)
 // instances with 0-3 disequalities: PreparedDp::Decide(extra) ==
-// monolithic Decide(base merged with extra), for both the cached-rows
-// path and the cache-cap fallback.
+// monolithic Decide(base merged with extra), both for the cached-rows
+// path and for the uncached path (bag rows materialised per call), which
+// the `dp.bag_cache_build` failpoint forces.
 class PreparedDpPropertyTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(PreparedDpPropertyTest, PreparedMatchesMonolithic) {
@@ -101,15 +107,19 @@ TEST_P(PreparedDpPropertyTest, PreparedMatchesMonolithic) {
                                 DecompositionFromOrder(h, MinFillOrder(h)));
   DecompositionSolver prepared_solver(
       q, db, DecompositionFromOrder(h, MinFillOrder(h)));
-  DecompositionSolver::Options no_cache;
-  no_cache.max_cached_bag_rows = 0;
-  DecompositionSolver fallback_solver(
-      q, db, DecompositionFromOrder(h, MinFillOrder(h)), no_cache);
+  DecompositionSolver uncached_solver(
+      q, db, DecompositionFromOrder(h, MinFillOrder(h)));
+  {
+    // The first Prepare builds the cache; a refused build sticks for the
+    // solver's lifetime.
+    failpoint::ScopedFailpoint no_cache("dp.bag_cache_build", {});
+    uncached_solver.Prepare(VarDomains(), overlay_vars);
+  }
 
   for (int call = 0; call < 3; ++call) {
     const VarDomains base = RandomBaseDomains(q, rng);
     PreparedDp prepared = prepared_solver.Prepare(base, overlay_vars);
-    PreparedDp fallback = fallback_solver.Prepare(base, overlay_vars);
+    PreparedDp uncached = uncached_solver.Prepare(base, overlay_vars);
 
     for (int trial = 0; trial < 6; ++trial) {
       std::vector<Bitset> masks;
@@ -125,21 +135,72 @@ TEST_P(PreparedDpPropertyTest, PreparedMatchesMonolithic) {
       const bool expected = reference.Decide(&merged);
       EXPECT_EQ(prepared.Decide(extra), expected)
           << q.ToString() << " call " << call << " trial " << trial;
-      EXPECT_EQ(fallback.Decide(extra), expected)
-          << q.ToString() << " (fallback) call " << call << " trial "
+      EXPECT_EQ(uncached.Decide(extra), expected)
+          << q.ToString() << " (uncached) call " << call << " trial "
           << trial;
     }
   }
   EXPECT_TRUE(prepared_solver.dp_stats().prepared_path);
-  // With a zero row cap the cache is disabled unless every bag join is
-  // genuinely empty (then zero rows ARE the whole cache).
-  if (prepared_solver.dp_stats().cached_bag_rows > 0) {
-    EXPECT_FALSE(fallback_solver.dp_stats().prepared_path);
-  }
+  EXPECT_FALSE(uncached_solver.dp_stats().prepared_path);
+  EXPECT_EQ(uncached_solver.dp_stats().cached_bag_rows, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PreparedDpPropertyTest,
                          ::testing::Range(0, 100));
+
+// End to end through ApproxCountAnswers: the uncached path serves the
+// same verdicts as the cached one, so the estimate, its interval and the
+// oracle-call count are bitwise equal with and without the bag-row cache,
+// at one lane and at four. At one lane no frontier probe is speculative,
+// so every hom query is one prepared decision.
+TEST(PreparedDpUncachedTest, ApproxCountMatchesCachedAtOneAndFourLanes) {
+  StatusOr<Query> q = ParseQuery("ans(x, y) :- E(x, y), E(y, z), x != z.");
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  Database db(32);
+  ASSERT_TRUE(db.DeclareRelation("E", 2).ok());
+  for (Value u = 0; u < 32; ++u) {
+    for (Value v = 0; v < 32; ++v) {
+      if (u == v || (u * 7 + v * 5) % 9 != 0) continue;
+      ASSERT_TRUE(db.AddFact("E", {u, v}).ok());
+    }
+  }
+  db.Canonicalize();
+
+  std::vector<ApproxCountResult> results;
+  for (bool uncached : {false, true}) {
+    for (int lanes : {1, 4}) {
+      std::optional<failpoint::ScopedFailpoint> no_cache;
+      if (uncached) no_cache.emplace("dp.bag_cache_build", failpoint::Config{});
+      Executor pool(lanes);
+      ApproxOptions opts;
+      opts.epsilon = 0.3;
+      opts.delta = 0.2;
+      opts.seed = 77;
+      // A small exact budget forces the sampling phases.
+      opts.dlm.exact_enumeration_budget = 4;
+      opts.pool = lanes > 1 ? &pool : nullptr;
+      opts.intra_threads = lanes;
+      StatusOr<ApproxCountResult> r = ApproxCountAnswers(*q, db, opts);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      SCOPED_TRACE(::testing::Message()
+                   << "uncached=" << uncached << " lanes=" << lanes);
+      EXPECT_EQ(r->dp_prepared_path, !uncached);
+      EXPECT_GT(r->dp_prepared_decides, 0u);
+      if (lanes == 1) {
+        EXPECT_EQ(r->dp_prepared_decides, r->nondet_hom_queries);
+      }
+      results.push_back(*r);
+    }
+  }
+  ASSERT_EQ(results.size(), 4u);
+  EXPECT_FALSE(results[0].exact);
+  for (const ApproxCountResult& r : results) {
+    EXPECT_EQ(r.estimate, results[0].estimate);
+    EXPECT_EQ(r.lower_bound, results[0].lower_bound);
+    EXPECT_EQ(r.upper_bound, results[0].upper_bound);
+    EXPECT_EQ(r.oracle_calls, results[0].oracle_calls);
+  }
+}
 
 // End-to-end: the same DLM estimation run, same seeds, once with the
 // decomposition oracle (prepared trial-reuse DP) and once with the

@@ -1,6 +1,6 @@
 // Cross-level equivalence tests for the SIMD kernels (relational/simd.h).
 //
-// Every kernel has scalar / SSE2 / AVX2 implementations that must compute
+// Every kernel has scalar / AVX2 implementations that must compute
 // EXACTLY the same answer — the engine's bit-identical-estimates contract
 // rests on this. These tests pit each supported level against the scalar
 // reference on randomized inputs, plus directed edge cases (v == 0 and
@@ -22,7 +22,6 @@ namespace {
 
 std::vector<Level> SupportedLevels() {
   std::vector<Level> levels = {Level::kScalar};
-  if (MaxSupportedLevel() >= Level::kSse2) levels.push_back(Level::kSse2);
   if (MaxSupportedLevel() >= Level::kAvx2) levels.push_back(Level::kAvx2);
   return levels;
 }
@@ -65,7 +64,6 @@ std::vector<Value> SortedStridedKeys(Rng& rng, size_t n, size_t stride,
 
 TEST(SimdTest, LevelNamesAndDetection) {
   EXPECT_STREQ(LevelName(Level::kScalar), "scalar");
-  EXPECT_STREQ(LevelName(Level::kSse2), "sse2");
   EXPECT_STREQ(LevelName(Level::kAvx2), "avx2");
   EXPECT_GE(MaxSupportedLevel(), Level::kScalar);
   EXPECT_LE(ActiveLevel(), MaxSupportedLevel());

@@ -135,9 +135,6 @@ TEST_F(StorageBackendTest, MappedMatchesInMemoryBitwiseAtEveryLaneCount) {
 
 TEST_F(StorageBackendTest, SimdLevelsAgreeBitwiseOnBothBackends) {
   std::vector<simd::Level> levels = {simd::Level::kScalar};
-  if (simd::MaxSupportedLevel() >= simd::Level::kSse2) {
-    levels.push_back(simd::Level::kSse2);
-  }
   if (simd::MaxSupportedLevel() >= simd::Level::kAvx2) {
     levels.push_back(simd::Level::kAvx2);
   }
