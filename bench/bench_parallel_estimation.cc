@@ -12,7 +12,7 @@
 //
 // CPU-bound scaling is capped by the runner's hardware threads — the
 // recorded hardware_threads field is the ceiling to read the speedups
-// against, exactly as BENCH_relation.json documents for its scan rows.
+// against.
 // Writes BENCH_parallel.json (or argv[1]).
 #include <cstdio>
 #include <string>
@@ -219,8 +219,8 @@ int Run(const std::string& json_path) {
                "  \"note\": \"speedup is warm_ms(intra=1)/warm_ms(intra=N); "
                "CPU-bound scaling is capped by hardware_threads (a "
                "1-hardware-thread runner cannot show wall-clock gains — "
-               "read the lanes/tasks columns for the fan-out evidence, as "
-               "BENCH_relation.json does for its scan rows); estimates are "
+               "read the lanes/tasks columns for the fan-out evidence); "
+               "estimates are "
                "asserted bitwise identical across lane counts\"\n");
   std::fprintf(out, "}\n");
   std::fclose(out);

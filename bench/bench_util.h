@@ -1,8 +1,4 @@
-// Shared table-printing helpers for the experiment harnesses.
-//
-// Each bench binary regenerates one artefact of the paper (EXPERIMENTS.md
-// records paper-vs-measured). The binaries print self-contained tables so
-// `for b in build/bench/*; do $b; done` reproduces the whole evaluation.
+// Shared table-printing and sizing helpers for the bench binaries.
 #ifndef CQCOUNT_BENCH_BENCH_UTIL_H_
 #define CQCOUNT_BENCH_BENCH_UTIL_H_
 
@@ -11,7 +7,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <vector>
 
 namespace cqcount {
 namespace bench {
@@ -29,13 +24,6 @@ inline bool SmokeMode() {
 template <typename T>
 inline T Sized(T full, T tiny) {
   return SmokeMode() ? tiny : full;
-}
-
-/// A size sweep, truncated to its first `keep` entries under SmokeMode().
-template <typename T>
-inline std::vector<T> Sweep(std::vector<T> sizes, size_t keep = 1) {
-  if (SmokeMode() && sizes.size() > keep) sizes.resize(keep);
-  return sizes;
 }
 
 inline void Header(const std::string& id, const std::string& title) {

@@ -20,8 +20,8 @@
 //
 // <database-file> may be either the text format (database_io.h) or a
 // packed columnar segment produced by `cli pack` (segment.h); the loader
-// sniffs the magic bytes. Segments memory-map in O(1) regardless of row
-// count, so packing pays off for databases reused across many runs.
+// sniffs the magic bytes. Opening a segment maps it without reading a
+// data page, so packing pays off for databases reused across many runs.
 //
 // count/exact/explain/batch run through the CountingEngine: queries are
 // rewritten (atom dedup, nullary guards), split into Gaifman components,

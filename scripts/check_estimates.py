@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
-"""Validates bench/telemetry JSON emitted by the cqcount binaries.
+"""Validates the telemetry JSON emitted by the cqcount CLI.
 
 Usage:
-  check_estimates.py <fresh.json> <baseline.json>   baseline estimate check
   check_estimates.py stats <stats.json> [other.json]
                                                     `cli stats` schema check;
                                                     with a second dump, a
@@ -11,22 +10,11 @@ Usage:
                                                     excluded)
   check_estimates.py trace <trace.json>             Chrome-trace schema check
   check_estimates.py count-json <result.json>       `cli count --json` check
-  check_estimates.py scheduler <BENCH_scheduler.json>
-                                                    adaptive-scheduler bench
-                                                    schema + reduction check
-  check_estimates.py storage <BENCH_storage.json>   segment-storage bench
-                                                    schema check + backend/
-                                                    kernel estimate parity
 
-Baseline mode: perf PRs are free to change timings, but the `estimates`
-section of BENCH_fptras.json is produced at FIXED sizes and seeds in
-every mode (including CQCOUNT_BENCH_SMOKE), so any drift there means the
-refactor changed answers, not just speed. CI fails the build in that
-case.
-
-The telemetry modes validate the observability surface added with the
-obs/ subsystem: the metric registry dump, the Chrome trace_event export,
-and the machine-readable count result with its embedded QueryProfile.
+The three modes validate the observability surface of the obs/
+subsystem: the metric registry dump, the Chrome trace_event export, and
+the machine-readable count result with its embedded profile. Fixed-seed
+estimates are pinned by tests/golden_estimates_test.cc, not here.
 """
 import json
 import sys
@@ -96,54 +84,6 @@ REQUIRED_SPANS = (
 )
 
 VALID_KINDS = ("counter", "gauge", "histogram")
-
-
-def load_estimates(path):
-    with open(path) as f:
-        data = json.load(f)
-    estimates = data.get("estimates")
-    if not estimates:
-        raise SystemExit(f"{path}: no 'estimates' section")
-    return {e["name"]: e for e in estimates}
-
-
-def check_baseline(fresh_path, baseline_path):
-    fresh = load_estimates(fresh_path)
-    baseline = load_estimates(baseline_path)
-    failures = []
-    for name, base in sorted(baseline.items()):
-        got = fresh.get(name)
-        if got is None:
-            failures.append(f"{name}: missing from fresh output")
-            continue
-        for key in ("universe", "seed", "epsilon", "delta"):
-            if got.get(key) != base.get(key):
-                failures.append(
-                    f"{name}: config drift on {key!r}: "
-                    f"{got.get(key)} != {base.get(key)}")
-        if got.get("estimate") != base.get("estimate"):
-            failures.append(
-                f"{name}: estimate {got.get('estimate')} != baseline "
-                f"{base.get('estimate')} (fixed seed: must be bit-identical)")
-        # The determinism contract: the multi-threaded (4 intra-query
-        # lanes) rerun of each workload must match the single-threaded
-        # baseline bit for bit.
-        if "estimate_mt" in got and got["estimate_mt"] != base.get("estimate"):
-            failures.append(
-                f"{name}: multi-threaded estimate {got['estimate_mt']} != "
-                f"single-threaded baseline {base.get('estimate')} "
-                f"(intra-query parallelism must be bit-identical)")
-        if got.get("exact") != base.get("exact"):
-            failures.append(
-                f"{name}: exact flag {got.get('exact')} != "
-                f"{base.get('exact')}")
-    if failures:
-        print("estimate baseline check FAILED:")
-        for failure in failures:
-            print(f"  - {failure}")
-        return 1
-    print(f"estimate baseline check OK ({len(baseline)} workloads)")
-    return 0
 
 
 def load_stats(path):
@@ -314,157 +254,6 @@ def check_count_json(path):
     return 0
 
 
-def check_scheduler(path):
-    """Validates BENCH_scheduler.json: the adaptive-scheduler A/B bench.
-
-    Each workload entry carries an adaptive-off arm (the PR 7 baseline
-    behaviour: full run schedule, even eps split) and an adaptive-on arm
-    (cost-model budgets + CLT early stop). The schema check asserts the
-    typed stop reasons and that adaptivity never *increases* oracle work
-    on these workloads; the accuracy side is covered by the `estimates`
-    section, which feeds the ordinary baseline mode.
-    """
-    with open(path) as f:
-        data = json.load(f)
-    failures = []
-    if not data.get("estimates"):
-        failures.append("no 'estimates' section (baseline mode needs the "
-                        "adaptive-off estimates to pin against PR 7)")
-    workloads = data.get("workloads")
-    if not isinstance(workloads, list) or not workloads:
-        raise SystemExit(f"{path}: no 'workloads' array")
-    arm_keys = ("estimate", "oracle_calls", "millis", "stop_reason",
-                "completed_runs", "total_runs")
-    for w in workloads:
-        name = w.get("name", "<unnamed>")
-        for key in ("name", "universe", "seed", "epsilon", "delta",
-                    "adaptive_off", "adaptive_on", "oracle_call_reduction"):
-            if key not in w:
-                failures.append(f"{name}: missing {key!r}")
-        for arm_name in ("adaptive_off", "adaptive_on"):
-            arm = w.get(arm_name, {})
-            for key in arm_keys:
-                if key not in arm:
-                    failures.append(f"{name}.{arm_name}: missing {key!r}")
-            reason = arm.get("stop_reason")
-            if reason is not None and reason not in STOP_REASONS:
-                failures.append(
-                    f"{name}.{arm_name}: stop_reason {reason!r} not in "
-                    f"{STOP_REASONS}")
-        off_reason = w.get("adaptive_off", {}).get("stop_reason")
-        if off_reason in ("confidence", "hard_bounds"):
-            failures.append(
-                f"{name}: adaptive_off arm reports early-stop reason "
-                f"{off_reason!r} — early termination must be opt-in")
-        reduction = w.get("oracle_call_reduction")
-        if isinstance(reduction, (int, float)):
-            if reduction < 1.0:
-                failures.append(
-                    f"{name}: oracle_call_reduction {reduction} < 1.0 "
-                    f"(adaptive scheduling made the workload MORE "
-                    f"expensive)")
-        elif reduction is not None:
-            failures.append(
-                f"{name}: non-numeric oracle_call_reduction {reduction!r}")
-    if failures:
-        print("scheduler bench schema check FAILED:")
-        for failure in failures:
-            print(f"  - {failure}")
-        return 1
-    reductions = [w["oracle_call_reduction"] for w in workloads]
-    print(f"scheduler bench schema check OK ({len(workloads)} workloads, "
-          f"oracle-call reduction "
-          f"{min(reductions):.2f}x..{max(reductions):.2f}x)")
-    return 0
-
-
-def check_storage(path):
-    """Validates BENCH_storage.json: the out-of-core segment bench.
-
-    Schema checks always run. The parity invariant — fixed-seed estimates
-    bitwise-equal across the in-memory backend, the mmap'd segment
-    backend, and the scalar kernel fallback — always runs too, in every
-    mode. The perf floors (10^8-tuple sweep entry, sub-millisecond O(1)
-    open, >= 2x SIMD speedup on the contiguous scan and the semijoin
-    probe at 200k+ rows) apply only to non-smoke recordings: smoke sizes
-    are too small to measure and are flagged in the JSON.
-    """
-    with open(path) as f:
-        data = json.load(f)
-    failures = []
-    if not isinstance(data.get("hardware_threads"), int):
-        failures.append("missing/non-integer 'hardware_threads'")
-    smoke = data.get("smoke")
-    if not isinstance(smoke, bool):
-        failures.append("missing/non-boolean 'smoke'")
-        smoke = True
-    sweep = data.get("open_sweep")
-    if not isinstance(sweep, list) or not sweep:
-        raise SystemExit(f"{path}: no 'open_sweep' array")
-    for e in sweep:
-        for key in ("rows", "file_bytes", "pack_ms", "open_us",
-                    "inmemory_register_ms"):
-            if not isinstance(e.get(key), (int, float)):
-                failures.append(f"open_sweep: missing/non-numeric {key!r}")
-    if not smoke:
-        largest = max(sweep, key=lambda e: e.get("rows", 0))
-        if largest.get("rows", 0) < 10**8:
-            failures.append(
-                f"open_sweep tops out at {largest.get('rows')} rows "
-                f"(the recorded artifact must include a 10^8-tuple "
-                f"database)")
-        if largest.get("open_us", 0) >= 1000.0:
-            failures.append(
-                f"largest open_us {largest.get('open_us')} >= 1000 "
-                f"(segment open must stay O(1): sub-millisecond even at "
-                f"10^8 tuples)")
-    kernels = data.get("kernels")
-    if not isinstance(kernels, list) or not kernels:
-        raise SystemExit(f"{path}: no 'kernels' array")
-    floored = ("linear_lower_bound_stride1", "linear_lower_bound_stride2",
-               "probe_stamps_block")
-    for e in kernels:
-        for key in ("kernel", "rows", "scalar_ms", "simd_ms", "speedup"):
-            if key not in e:
-                failures.append(f"kernels: missing {key!r} in {e}")
-        if (not smoke and e.get("kernel") in floored
-                and e.get("rows", 0) >= 200000
-                and isinstance(e.get("speedup"), (int, float))
-                and e["speedup"] < 2.0):
-            failures.append(
-                f"kernel {e['kernel']} at {e['rows']} rows: speedup "
-                f"{e['speedup']} < 2.0x (SIMD acceptance floor)")
-    estimates = data.get("estimates")
-    if not isinstance(estimates, list) or not estimates:
-        raise SystemExit(f"{path}: no 'estimates' array")
-    for e in estimates:
-        name = e.get("name", "<unnamed>")
-        for key in ("name", "universe", "seed", "epsilon", "delta",
-                    "estimate", "estimate_segment", "estimate_scalar",
-                    "exact", "oracle_calls"):
-            if key not in e:
-                failures.append(f"{name}: missing {key!r}")
-        if e.get("estimate_segment") != e.get("estimate"):
-            failures.append(
-                f"{name}: segment estimate {e.get('estimate_segment')} != "
-                f"in-memory {e.get('estimate')} (backends must be "
-                f"bit-identical)")
-        if e.get("estimate_scalar") != e.get("estimate"):
-            failures.append(
-                f"{name}: scalar-kernel estimate "
-                f"{e.get('estimate_scalar')} != SIMD {e.get('estimate')} "
-                f"(kernel levels must be bit-identical)")
-    if failures:
-        print("storage bench schema check FAILED:")
-        for failure in failures:
-            print(f"  - {failure}")
-        return 1
-    print(f"storage bench schema check OK ({len(sweep)} sweep sizes, "
-          f"{len(kernels)} kernel rows, {len(estimates)} parity "
-          f"workloads{', smoke' if smoke else ''})")
-    return 0
-
-
 def main():
     if len(sys.argv) in (3, 4) and sys.argv[1] == "stats":
         return check_stats(sys.argv[2],
@@ -473,12 +262,6 @@ def main():
         return check_trace(sys.argv[2])
     if len(sys.argv) == 3 and sys.argv[1] == "count-json":
         return check_count_json(sys.argv[2])
-    if len(sys.argv) == 3 and sys.argv[1] == "scheduler":
-        return check_scheduler(sys.argv[2])
-    if len(sys.argv) == 3 and sys.argv[1] == "storage":
-        return check_storage(sys.argv[2])
-    if len(sys.argv) == 3:
-        return check_baseline(sys.argv[1], sys.argv[2])
     raise SystemExit(__doc__)
 
 

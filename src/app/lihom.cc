@@ -35,7 +35,9 @@ std::vector<std::pair<int, int>> CommonNeighbourPairs(const SimpleGraph& g) {
 StatusOr<Query> BuildLihomQuery(const SimpleGraph& pattern) {
   Query q;
   for (int v = 0; v < pattern.num_vertices; ++v) {
-    q.AddVariable("x" + std::to_string(v));
+    std::string name = "x";
+    name += std::to_string(v);
+    q.AddVariable(name);
   }
   q.SetNumFree(pattern.num_vertices);
   if (pattern.edges.empty()) {

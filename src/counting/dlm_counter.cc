@@ -118,6 +118,12 @@ constexpr double kSpeculationMinHalvings = 4.0;
 // count; lanes merely claim sub-boxes dynamically.
 constexpr int kExactPartition = 16;
 
+// Knuth-descent samples per box in a run's first sampling round.
+constexpr int kInitialSamplesPerBox = 8;
+
+// Cap on sampling rounds per run (samples double each round).
+constexpr int kMaxRefinementRounds = 16;
+
 // Bounds on the median of `total` (odd) values when only the first k of
 // them are known (`known_sorted`, ascending) and every missing value is
 // guaranteed to lie in [0, cap]: the median is smallest when all unknowns
@@ -836,7 +842,7 @@ class Estimator {
     std::vector<SampleJob> jobs;
     std::vector<std::pair<double, uint64_t>> weights;  // (weight, calls)
 
-    int samples_next_round = opts_.initial_samples_per_box;
+    int samples_next_round = kInitialSamplesPerBox;
     int rounds = 0;
     // An interrupted run is discarded wholesale (completed = false): a
     // half-round mean would bias the median, and discarding keeps the
@@ -845,7 +851,7 @@ class Estimator {
       return RunOutcome{current().first, rounds, false, run_calls,
                         /*completed=*/false};
     };
-    for (; rounds < opts_.max_refinement_rounds; ++rounds) {
+    for (; rounds < kMaxRefinementRounds; ++rounds) {
       // Round-boundary checkpoint: rounds are deterministic units, so an
       // interruption here never perturbs completed-round arithmetic.
       if (Checkpoint() != GovernanceState::kRunning) return interrupted();
@@ -932,7 +938,6 @@ class Estimator {
       // non-empty halves; singleton halves become exact mass). Splitting
       // cuts Knuth variance roughly in half per level at a cost of ~2
       // oracle calls, which beats extra sampling until boxes are small.
-      if (!opts_.enable_stratified_splits) continue;
       const size_t splits = std::max<size_t>(1, strata.size() / 4);
       std::sort(order.begin(), order.end(), [&](size_t x, size_t y) {
         return strata[x].acc.mean_variance() >

@@ -58,14 +58,6 @@ struct DlmOptions {
   uint64_t exact_enumeration_budget = 1024;
   /// Maximum number of boxes the edge set is partitioned into.
   int max_frontier = 2048;
-  /// Knuth-descent samples per box in the first adaptive round.
-  int initial_samples_per_box = 8;
-  /// Cap on adaptive sampling rounds per run (samples double each round).
-  int max_refinement_rounds = 16;
-  /// Stratified splitting of high-variance boxes between rounds (the
-  /// design choice ablated in bench_ablation): disabling falls back to
-  /// sample-doubling only.
-  bool enable_stratified_splits = true;
   /// Hard cap on oracle calls (safety valve; hitting it is reported via
   /// `converged = false`). Split deterministically across the adaptive
   /// runs, so cap outcomes are identical at every thread count.

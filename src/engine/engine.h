@@ -310,9 +310,6 @@ class CountingEngine {
   /// Plan-cache counters (hits mean the decomposition was not recomputed).
   PlanCacheStats CacheStats() const { return cache_.Stats(); }
 
-  /// Drops all cached plans (e.g. after re-registering a database).
-  void InvalidatePlans() { cache_.Clear(); }
-
   const EngineOptions& options() const { return opts_; }
 
  private:

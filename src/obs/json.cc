@@ -79,7 +79,10 @@ JsonWriter& JsonWriter::Key(const std::string& name) {
 }
 
 JsonWriter& JsonWriter::String(const std::string& value) {
-  Raw("\"" + JsonEscape(value) + "\"");
+  BeforeValue();
+  out_ += '"';
+  out_.append(JsonEscape(value));
+  out_ += '"';
   return *this;
 }
 

@@ -204,7 +204,9 @@ StatusOr<Structure> BuildStructureBHat(const Query& q, const Database& db,
 Query CanonicalQuery(const Structure& a) {
   Query q;
   for (uint32_t v = 0; v < a.universe_size(); ++v) {
-    q.AddVariable("u" + std::to_string(v));
+    std::string name = "u";
+    name += std::to_string(v);
+    q.AddVariable(name);
   }
   q.SetNumFree(static_cast<int>(a.universe_size()));
   for (const std::string& name : a.RelationNames()) {

@@ -52,10 +52,10 @@ struct Trailer {
   uint64_t data_checksum;
   uint64_t dir_checksum;
   char end_magic[8];
-  // Zone blocks get their own ALWAYS-verified checksum (O(blocks) bytes,
-  // so open stays O(1) in data size): the O(1) open certifies every
-  // value against the universe from zone maxima alone, so the zones must
-  // be integrity-checked even when the O(rows) data audit is skipped —
+  // Zone blocks get their own ALWAYS-verified checksum (O(blocks) bytes;
+  // open reads no data page): the open certifies every value against the
+  // universe from zone maxima alone, so the zones must be
+  // integrity-checked even when the O(rows) data audit is skipped —
   // otherwise corrupt zones that understate the data would let
   // out-of-universe values through to index-by-value sites.
   uint64_t zone_checksum;
@@ -81,7 +81,7 @@ struct StorageMetrics {
       "storage.segment_opens", "segment databases opened (mmap)");
   obs::Histogram& segment_open_us = obs::MetricRegistry::Global().GetHistogram(
       "storage.segment_open_us",
-      "segment open latency, microseconds (O(1) in data size)");
+      "segment open latency, microseconds (reads no data page)");
   obs::Gauge& mapped_bytes = obs::MetricRegistry::Global().GetGauge(
       "storage.mapped_bytes", "bytes of live segment mappings");
   obs::Gauge& pages_resident = obs::MetricRegistry::Global().GetGauge(
@@ -468,8 +468,8 @@ StatusOr<std::shared_ptr<const SegmentView>> SegmentView::Open(
     }
     view->relations_.push_back(std::move(rel));
   }
-  // Zone blocks are always verified (O(blocks) — open stays O(1) in data
-  // size) BEFORE they are trusted below: the universe certification
+  // Zone blocks are always verified (O(blocks); no data page is read)
+  // BEFORE they are trusted below: the universe certification
   // reads zone maxima in place of the O(rows) data pages, so corrupt
   // zones that understate the data must not pass.
   if (zone_checksum != trailer.zone_checksum) {

@@ -18,10 +18,10 @@
 //                           checksum, end magic "CQSEGEND", zone checksum
 //
 // Checksums are FNV-1a 64. Opening verifies the header, directory,
-// trailer AND the zone checksum (all O(blocks) bytes) but NOT the data
-// checksum — that keeps open O(1) in file size (microseconds for
-// 10^8-tuple files; the OS pages data in on demand). Zone blocks must be
-// integrity-checked at every open because the O(1) universe
+// trailer AND the zone checksum but NOT the data checksum, so open reads
+// no data page; its cost grows with the number of zone blocks
+// (rows/1024), and the OS pages data in on demand. Zone blocks must be
+// integrity-checked at every open because the open-time universe
 // certification trusts zone maxima in place of the data pages; the data
 // checksum covers only the O(rows) data pages and is opt-in via
 // verify_data_checksum. All integers are little-endian host format; the
@@ -88,7 +88,8 @@ class SegmentWriter {
 
 struct SegmentOpenOptions {
   /// Also verify the full data checksum (reads every byte: O(file), only
-  /// for integrity audits; the default keeps open O(1)).
+  /// for integrity audits). By default open reads no data page; its cost
+  /// grows with the number of zone blocks.
   bool verify_data_checksum = false;
 };
 
@@ -138,7 +139,8 @@ bool LooksLikeSegmentFile(const std::string& path);
 Status WriteSegmentDatabase(const Database& db, const std::string& path);
 
 /// Opens a segment file as a Database of mmap-backed relations sharing
-/// one SegmentView. O(1) in data size; counted in storage.* metrics.
+/// one SegmentView. Reads no data page; cost grows with the number of
+/// zone blocks. Counted in storage.* metrics.
 StatusOr<Database> OpenSegmentDatabase(const std::string& path,
                                        const SegmentOpenOptions& options = {});
 

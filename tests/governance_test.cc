@@ -357,8 +357,20 @@ TEST_F(GovernanceTest, RandomCancelPointsKeepAnytimeInvariants) {
   // contains both its own estimate and the uninterrupted same-seed
   // answer. Cut points at or past the last run boundary reproduce the
   // full answer bit for bit.
-  CountingEngine engine;
-  ASSERT_TRUE(engine.RegisterDatabase("g", CycleDb()).ok());
+  //
+  // Seven counts run here, so the instance is smaller than CycleDb(): a
+  // 16-vertex, 48-edge graph whose ~2300 4-cycle answers still exceed the
+  // DLM exact-phase budget. The planner would brute-force a graph this
+  // small, so its exact-cost limit is lowered to keep it on the estimator.
+  EngineOptions opts;
+  opts.plan.exact_cost_limit = 0.0;
+  CountingEngine engine(opts);
+  Rng rng(7);
+  ASSERT_TRUE(engine
+                  .RegisterDatabase(
+                      "g", GraphToDatabase(RandomGraphWithEdges(16, 48, rng),
+                                           "F"))
+                  .ok());
 
   auto full = engine.Count(SamplingRequest());
   ASSERT_TRUE(full.ok()) << full.status().ToString();
