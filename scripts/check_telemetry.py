@@ -2,14 +2,14 @@
 """Validates the telemetry JSON emitted by the cqcount CLI.
 
 Usage:
-  check_estimates.py stats <stats.json> [other.json]
+  check_telemetry.py stats <stats.json> [other.json]
                                                     `cli stats` schema check;
                                                     with a second dump, a
                                                     determinism comparison
                                                     (nondet-prefixed metrics
                                                     excluded)
-  check_estimates.py trace <trace.json>             Chrome-trace schema check
-  check_estimates.py count-json <result.json>       `cli count --json` check
+  check_telemetry.py trace <trace.json>             Chrome-trace schema check
+  check_telemetry.py count-json <result.json>       `cli count --json` check
 
 The three modes validate the observability surface of the obs/
 subsystem: the metric registry dump, the Chrome trace_event export, and

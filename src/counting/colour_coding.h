@@ -13,10 +13,15 @@
 // atoms + per-variable domain restrictions" (cross-validated against the
 // materialised Definitions 26/28 in tests).
 //
-// Randomness / determinism model: the colourings of one IsEdgeFree call
-// are drawn from Rng(DeriveSeed(seed, HashPartiteSubset(V_1..V_l)));
-// trial t of the call uses the derived stream DeriveSeed(call_seed, t).
-// Two consequences, both deliberate:
+// Randomness / determinism model: a colouring is a pure function of its
+// coordinates. In the trial keyed `trial_key`, word w of f_eta (the
+// colouring of disequality number eta) is
+//   ColourWord(trial_key, eta, w) = DeriveSeed(trial_key, eta * 2^32 + w),
+// a SplitMix64 output, and value v's colour is bit v % 64 of word v / 64
+// (1 = red). Any value's colour is thus computed on its own, in any
+// order. IsEdgeFree keys its call on the subset,
+// call_seed = DeriveSeed(seed, HashPartiteSubset(V_1..V_l)), and trial t
+// on trial_key = DeriveSeed(call_seed, t). Consequences, all deliberate:
 //   - Every fork of the oracle (worker lanes of the parallel estimator)
 //     answers a given subset exactly as the root would, so estimates are
 //     bit-identical at any thread count.
@@ -24,6 +29,14 @@
 //     behaves like a single fixed random object over the subset lattice,
 //     which is the shape the Theorem 17 estimator conditions on (its
 //     failure bound union-bounds over the distinct subsets queried).
+//   - A trial colours only the values its Hom decisions can read (the
+//     context's overlay candidates, HomContext::OverlayCandidates) when
+//     that is cheaper than colouring every word, and the whole universe
+//     otherwise. Both give the same colour at every value read, so the
+//     verdict never depends on the choice.
+// Lemma 22 needs each f_eta uniform and the colourings independent across
+// disequalities and trials: distinct (trial_key, eta, w) feed distinct
+// inputs to the SplitMix64 finaliser, as DeriveSeed's streams do.
 // One call's trials run in order on the thread that issued it and stop at
 // the first witness. Intra-query parallelism lives one level up: the DLM
 // estimator fans whole calls (on distinct forks) across lanes, paying one
@@ -46,6 +59,12 @@ namespace cqcount {
 
 namespace internal {
 
+/// Word `w` of disequality `eta`'s colouring in the trial keyed
+/// `trial_key`: bit i is the colour of value 64w + i (1 = red).
+inline uint64_t ColourWord(uint64_t trial_key, uint32_t eta, uint64_t w) {
+  return DeriveSeed(trial_key, (uint64_t{eta} << 32) + w);
+}
+
 /// Per-trial overlay builder: one packed mask per disequality endpoint
 /// variable, intersected across the disequalities that constrain it.
 /// Buffers are reused across trials and oracle calls (no per-trial
@@ -53,21 +72,35 @@ namespace internal {
 class TrialOverlay {
  public:
   explicit TrialOverlay(const Query& q);
+  // The restriction views point into masks_.
+  TrialOverlay(const TrialOverlay&) = delete;
+  TrialOverlay& operator=(const TrialOverlay&) = delete;
 
   /// The disequality endpoint variables (sorted, duplicate-free): the only
   /// variables whose domains change across colouring trials.
   const std::vector<int>& endpoint_vars() const { return endpoint_vars_; }
 
-  /// Draws one colouring per disequality from `rng` (ceil(universe/64)
-  /// outputs each, bit i of a colouring being bit i%64 of draw i/64, as
-  /// Rng::RandomMaskInto lays it out) and returns the merged per-endpoint
-  /// restrictions. The views are valid until the next Draw().
-  const std::vector<DomainRestriction>& Draw(Rng& rng, uint32_t universe);
+  /// Fixes the universe and the values the following Draws must colour:
+  /// each endpoint variable's overlay candidates in `ctx` (every value
+  /// when `ctx` is null or does not know them). A disequality whose two
+  /// endpoints have fewer candidates in total than a colouring has words
+  /// colours just those; any other colours every word. The candidate
+  /// lists must stay valid until the next BeginCall.
+  void BeginCall(uint32_t universe, const HomContext* ctx);
+
+  /// The merged endpoint restrictions of the trial keyed `trial_key`:
+  /// each mask is correct at every value BeginCall asked for, and its
+  /// other bits are unspecified. The views are valid until the next Draw.
+  const std::vector<DomainRestriction>& Draw(uint64_t trial_key);
 
  private:
-  // The mask of `var`, sized to `universe`; `*first` reports whether this
-  // is its first touch in the current trial.
-  Bitset& Touch(int var, uint32_t universe, bool* first);
+  // The endpoint slot of `var`.
+  size_t Slot(int var) const {
+    return static_cast<size_t>(slot_of_[static_cast<size_t>(var)]);
+  }
+  // The mask of `var`; `*first` reports whether this is its first touch
+  // in the current trial.
+  Bitset& Touch(int var, bool* first);
 
   const std::vector<Disequality>& disequalities_;
   std::vector<int> endpoint_vars_;
@@ -75,6 +108,11 @@ class TrialOverlay {
   std::vector<Bitset> masks_;
   std::vector<char> touched_;
   std::vector<DomainRestriction> restrictions_;
+  uint32_t universe_ = 0;
+  // Per endpoint slot: the values to colour, null for every value.
+  std::vector<const std::vector<Value>*> candidates_;
+  // Per disequality: colour only the endpoints' candidates.
+  std::vector<char> sparse_;
 };
 
 }  // namespace internal
@@ -146,7 +184,8 @@ class ColourCodingEdgeFreeOracle : public EdgeFreeOracle {
 
 /// Amplified decision "does (phi, D) have any solution?" via colour-coded
 /// Hom queries; wrong (false negative) with probability <= delta. Used for
-/// the l = 0 case and for answer-membership tests.
+/// the l = 0 case and for answer-membership tests. Takes one draw from
+/// `rng` as its call seed.
 bool DecideAnySolution(const Query& q, HomOracle* hom, uint32_t universe_size,
                        const VarDomains& base_domains, double delta, Rng& rng);
 

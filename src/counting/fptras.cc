@@ -27,7 +27,7 @@ struct FptrasMetrics {
   // consumed edge-free probes) are lane-count-independent; only this
   // tally of work performed may vary. The `.nondet.` name segment marks
   // it (and any future scheduling-dependent counter) for tooling:
-  // scripts/check_estimates.py excludes the prefix from
+  // scripts/check_telemetry.py excludes the prefix from
   // determinism-sensitive assertions.
   obs::Counter& hom_queries = obs::MetricRegistry::Global().GetCounter(
       "cc.nondet.hom_queries",

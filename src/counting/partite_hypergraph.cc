@@ -42,17 +42,31 @@ class BruteForceFork : public EdgeFreeOracle {
 }  // namespace
 
 uint64_t HashPartiteSubset(const PartiteSubset& parts) {
-  // SplitMix64 fold over (part index, words). The Bitset tail invariant
-  // (bits beyond the universe are zero) makes this a pure content hash.
-  uint64_t h = 0x8D26'44F9'79AD'5AC1ULL;
+  // A sum of SplitMix64 terms, one per non-zero word, each keyed by its
+  // (part, word) position. Skipping zero words makes this a pure content
+  // hash (independent of how far a mask's zero tail extends), and the
+  // terms are independent, so the fold runs at the mixer's throughput
+  // rather than through a serial chain. All-zero blocks of four words,
+  // most of a small box's mask, cost one test.
+  uint64_t sum = 0;
   for (size_t i = 0; i < parts.parts.size(); ++i) {
-    h = DeriveSeed(h, i);
     const Bitset& mask = parts.parts[i];
-    for (size_t w = 0; w < mask.num_words(); ++w) {
-      h = DeriveSeed(h, mask.word(w));
+    const size_t words = mask.num_words();
+    auto fold = [&](size_t w) {
+      const uint64_t word = mask.word(w);
+      if (word != 0) sum += DeriveSeed(word, (uint64_t{i} << 32) + w);
+    };
+    size_t w = 0;
+    for (; w + 4 <= words; w += 4) {
+      if ((mask.word(w) | mask.word(w + 1) | mask.word(w + 2) |
+           mask.word(w + 3)) == 0) {
+        continue;
+      }
+      for (size_t k = w; k < w + 4; ++k) fold(k);
     }
+    for (; w < words; ++w) fold(w);
   }
-  return h;
+  return DeriveSeed(0x8D26'44F9'79AD'5AC1ULL ^ sum, parts.parts.size());
 }
 
 BruteForceEdgeFreeOracle::BruteForceEdgeFreeOracle(const Query& q,

@@ -27,8 +27,9 @@ struct PartiteSubset {
   std::vector<Bitset> parts;
 };
 
-/// Deterministic content hash of a subset (order of parts significant,
-/// representation-independent thanks to the Bitset tail invariant). The
+/// Deterministic content hash of a subset (order of parts significant;
+/// masks that differ only in the length of their all-zero tail hash
+/// alike). The
 /// colour-coding oracle keys its per-call randomness on this, so every
 /// worker lane — and every repeat query of the same subset — sees the
 /// same colourings: the oracle behaves like one fixed random object, as

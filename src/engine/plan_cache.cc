@@ -109,14 +109,6 @@ std::optional<obs::ShapeProfile> PlanCache::Profile(
   return it->second->profile;
 }
 
-void PlanCache::Clear() {
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    shard->lru.clear();
-    shard->index.clear();
-  }
-}
-
 PlanCacheStats PlanCache::Stats() const {
   PlanCacheStats stats;
   for (const auto& shard : shards_) {

@@ -49,9 +49,6 @@ class PlanCache {
   /// used entry of the shard when it is full.
   void Insert(const std::string& key, std::shared_ptr<const QueryPlan> plan);
 
-  /// Drops every entry (counters are kept).
-  void Clear();
-
   /// Folds one execution of `key`'s shape into its observed profile (the
   /// cost/variance record the adaptive scheduler reads). No-op when the
   /// plan is no longer cached: the profile lives and dies with the entry.

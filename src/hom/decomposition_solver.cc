@@ -240,6 +240,14 @@ struct SolverEvalContext::Impl {
   std::vector<char> dynamic_bag;
   std::vector<char> is_overlay;
 
+  // Per variable: the overlay candidates (see overlay_candidates()),
+  // collected through a universe-sized epoch-stamped seen-array, and
+  // whether the list was dropped at the cap.
+  std::vector<std::vector<Value>> candidates;
+  std::vector<char> candidates_capped;
+  std::vector<uint32_t> value_stamp;
+  uint32_t value_epoch = 0;
+
   // Trial-invariant DP state, rebuilt each Prepare.
   std::vector<FlatTuples> static_survivors;
   std::vector<ExistTable> static_tables;  // Indexed by child node.
@@ -273,6 +281,16 @@ SolverEvalContext::~SolverEvalContext() = default;
 SolverEvalContext::SolverEvalContext(SolverEvalContext&&) noexcept = default;
 SolverEvalContext& SolverEvalContext::operator=(SolverEvalContext&&) noexcept =
     default;
+
+const std::vector<Value>* SolverEvalContext::overlay_candidates(
+    int var) const {
+  const size_t v = static_cast<size_t>(var);
+  if (v >= impl_->is_overlay.size() || !impl_->is_overlay[v] ||
+      impl_->candidates_capped[v]) {
+    return nullptr;
+  }
+  return &impl_->candidates[v];
+}
 
 bool PreparedDp::Decide(const std::vector<DomainRestriction>& extra) {
   return solver_->DecidePrepared(*ctx_, generation_, extra);
@@ -531,6 +549,9 @@ PreparedDp DecompositionSolver::PrepareOn(
     sc.base_filters.resize(num_nodes);
     sc.dynamic_bag.resize(num_nodes);
     sc.is_overlay.resize(static_cast<size_t>(query_.num_vars()));
+    sc.candidates.resize(static_cast<size_t>(query_.num_vars()));
+    sc.candidates_capped.resize(static_cast<size_t>(query_.num_vars()));
+    sc.value_stamp.assign(db_.universe_size(), 0);
     sc.static_survivors.resize(num_nodes);
     sc.static_tables.resize(num_nodes);
     sc.demand_memo.resize(num_nodes);
@@ -557,7 +578,11 @@ PreparedDp DecompositionSolver::PrepareOn(
   sc.always_false = false;
 
   std::fill(sc.is_overlay.begin(), sc.is_overlay.end(), 0);
-  for (int v : overlay_vars) sc.is_overlay[static_cast<size_t>(v)] = 1;
+  for (int v : overlay_vars) {
+    sc.is_overlay[static_cast<size_t>(v)] = 1;
+    sc.candidates[static_cast<size_t>(v)].clear();
+    sc.candidates_capped[static_cast<size_t>(v)] = 0;
+  }
 
   // Streams the rows of bag `t` that satisfy the base domains; `fn`
   // returns false to stop early. Cached: the cached rows that pass the
@@ -748,6 +773,40 @@ PreparedDp DecompositionSolver::PrepareOn(
       return true;
     });
     sc.call_rows[t] = &out;
+  }
+
+  // Overlay candidates: a trial reads a variable's mask only at its
+  // overlay columns, and only in the dynamic bags' call rows. A value
+  // outside the universe fails every mask test, so it is not a candidate.
+  // A list that grows past ceil(|U|/64) values, the word count of a mask,
+  // is dropped: filling the whole mask costs less than that.
+  const size_t max_candidates = (db_.universe_size() + 63) / 64;
+  for (int v : overlay_vars) {
+    if (++sc.value_epoch == 0) {  // uint32 wrap: flush and restart.
+      std::fill(sc.value_stamp.begin(), sc.value_stamp.end(), 0u);
+      sc.value_epoch = 1;
+    }
+    std::vector<Value>& out = sc.candidates[static_cast<size_t>(v)];
+    auto collect = [&] {
+      for (int t = 0; t < num_nodes; ++t) {
+        for (const auto& [col, var] : sc.overlay_cols[t]) {
+          if (var != v) continue;
+          const FlatTuples& rows = *sc.call_rows[t];
+          for (size_t i = 0; i < rows.size(); ++i) {
+            const Value value = rows[i][static_cast<size_t>(col)];
+            if (value >= sc.value_stamp.size() ||
+                sc.value_stamp[value] == sc.value_epoch) {
+              continue;
+            }
+            if (out.size() == max_candidates) return false;
+            sc.value_stamp[value] = sc.value_epoch;
+            out.push_back(value);
+          }
+        }
+      }
+      return true;
+    };
+    sc.candidates_capped[static_cast<size_t>(v)] = collect() ? 0 : 1;
   }
 
   // Step 2b: trial-invariant part of the DP, fused with the base filter

@@ -20,7 +20,10 @@
 //   2. per EdgeFree call (Prepare): cached rows are filtered by the V_i
 //      part restrictions — fixed across trials — and the trial-invariant
 //      part of the DP (bags whose subtree touches no disequality
-//      endpoint) runs once, caching surviving rows and child tables;
+//      endpoint) runs once, caching surviving rows and child tables,
+//      and the values each endpoint takes in the remaining rows are
+//      recorded (its overlay candidates: a trial reads its mask only
+//      there);
 //   3. per trial (PreparedDp::Decide): only bags whose subtree contains a
 //      disequality endpoint re-filter by the trial's colour bitmask and
 //      re-aggregate, with existence-only semijoins and first-witness
@@ -73,6 +76,14 @@ class SolverEvalContext {
   SolverEvalContext(SolverEvalContext&&) noexcept;
   SolverEvalContext& operator=(SolverEvalContext&&) noexcept;
 
+  /// The overlay candidates of the last Prepare on this context: the
+  /// distinct values (unordered) that overlay variable `var` takes in the
+  /// rows its trials scan, so the only values at which a
+  /// PreparedDp::Decide reads `var`'s mask. Null when `var` was not an
+  /// overlay variable of that Prepare, or when it has more than
+  /// ceil(|U|/64) candidates (filling the whole mask then costs less).
+  const std::vector<Value>* overlay_candidates(int var) const;
+
  private:
   friend class DecompositionSolver;
   friend class PreparedDp;
@@ -90,8 +101,11 @@ class PreparedDp {
  public:
   /// True iff a solution exists under base domains intersected with
   /// `extra`. Every `extra.var` must be among the overlay vars declared
-  /// at Prepare time. Reuses trial-invariant DP state across calls. Runs
-  /// on the context the instance was prepared on (single-threaded use).
+  /// at Prepare time. An overlay mask need only be defined at that
+  /// variable's overlay candidates (SolverEvalContext::
+  /// overlay_candidates): its bits elsewhere are never read. Reuses
+  /// trial-invariant DP state across calls. Runs on the context the
+  /// instance was prepared on (single-threaded use).
   bool Decide(const std::vector<DomainRestriction>& extra);
 
  private:

@@ -48,6 +48,10 @@ class DecompositionHomContext : public HomContext {
 
   SolverEvalContext& ctx() { return *ctx_; }
 
+  const std::vector<Value>* OverlayCandidates(int var) const override {
+    return ctx_->overlay_candidates(var);
+  }
+
  private:
   std::unique_ptr<SolverEvalContext> ctx_;
 };

@@ -62,6 +62,15 @@ class HomContext {
                    std::memory_order_relaxed);
   }
 
+  /// The values at which the decisions of the last Prepare on this
+  /// context read overlay variable `var`'s mask (distinct, unordered); a
+  /// trial mask need only be defined there. Null when unknown: the mask
+  /// may then be read anywhere. The default knows nothing.
+  virtual const std::vector<Value>* OverlayCandidates(int var) const {
+    (void)var;
+    return nullptr;
+  }
+
  private:
   friend class HomOracle;
   HomOracle* owner_ = nullptr;  // Set by HomOracle::Adopt.

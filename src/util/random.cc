@@ -15,13 +15,6 @@ uint64_t SplitMix64(uint64_t& x) {
 
 }  // namespace
 
-uint64_t DeriveSeed(uint64_t base_seed, uint64_t index) {
-  uint64_t z = base_seed + (index + 1) * 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
 uint64_t DeriveSeed(uint64_t base_seed, std::initializer_list<uint64_t> path) {
   uint64_t seed = base_seed;
   for (uint64_t step : path) seed = DeriveSeed(seed, step);
@@ -55,31 +48,18 @@ bool Rng::Bernoulli(double p) {
 }
 
 Bitset Rng::RandomMask(size_t n, double p) {
-  Bitset mask;
-  RandomMaskInto(mask, n, p);
-  return mask;
-}
-
-void Rng::RandomMaskInto(Bitset& out, size_t n, double p) {
-  if (p <= 0.0) {
-    out.Assign(n, false);
-    return;
-  }
-  if (p >= 1.0) {
-    out.Assign(n, true);
-    return;
-  }
-  out.Assign(n, false);
+  Bitset mask(n, p >= 1.0);
+  if (p <= 0.0 || p >= 1.0) return mask;
   if (p == 0.5) {
-    // Fair masks (the colour-coding case) draw 64 bits per RNG step; the
-    // LSB of each draw lands on the lowest element, matching the bit
-    // order of the historical one-bit-at-a-time consumption.
-    for (size_t w = 0; w < out.num_words(); ++w) out.SetWord(w, Next());
-    return;
+    // Fair masks draw 64 bits per RNG step, the LSB of each draw landing
+    // on the lowest element.
+    for (size_t w = 0; w < mask.num_words(); ++w) mask.SetWord(w, Next());
+    return mask;
   }
   for (size_t i = 0; i < n; ++i) {
-    if (Bernoulli(p)) out.Set(i);
+    if (Bernoulli(p)) mask.Set(i);
   }
+  return mask;
 }
 
 uint64_t Rng::SplitSeed() { return Next() ^ 0xd1b54a32d192ed03ULL; }

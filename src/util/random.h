@@ -19,8 +19,14 @@ namespace cqcount {
 /// Derives an independent seed from `base_seed` and a counter (SplitMix64
 /// step). Deterministic and index-sensitive, so derived streams never
 /// collide regardless of execution order. Used for batch items, intra-query
-/// tasks, and every other unit of parallel randomised work.
-uint64_t DeriveSeed(uint64_t base_seed, uint64_t index);
+/// tasks, and every other unit of parallel randomised work. Inline: the
+/// colour-coding trial loop evaluates it once per colouring word.
+inline uint64_t DeriveSeed(uint64_t base_seed, uint64_t index) {
+  uint64_t z = base_seed + (index + 1) * 0x9e3779b97f4a7c15ULL;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
 
 /// Folds a whole counter path into one seed:
 /// DeriveSeed(s, {a, b, c}) == DeriveSeed(DeriveSeed(DeriveSeed(s,a),b),c).
@@ -36,8 +42,7 @@ class Rng {
   /// Seeds the state deterministically from `seed` via SplitMix64.
   explicit Rng(uint64_t seed = 0x9e3779b97f4a7c15ULL);
 
-  /// Returns the next raw 64-bit output. Inline: the colour-coding trial
-  /// loop draws one output per 64-element mask word.
+  /// Returns the next raw 64-bit output.
   uint64_t Next() {
     const uint64_t result = Rotl(state_[1] * 5, 7) * 9;
     const uint64_t t = state_[1] << 17;
@@ -60,15 +65,10 @@ class Rng {
   bool Bernoulli(double p);
 
   /// Returns a uniformly random subset of {0,..,n-1} as a packed mask,
-  /// keeping each element independently with probability p.
+  /// keeping each element independently with probability p. Fair masks
+  /// (p == 0.5) consume one Next() per 64 bits, bit i of the mask being
+  /// bit i%64 of draw i/64.
   Bitset RandomMask(size_t n, double p);
-
-  /// Allocation-free sibling of RandomMask for hot loops: re-dimensions
-  /// `out` to n bits (reusing its buffer) and fills it. Fair masks
-  /// (p == 0.5, the colour-coding case) consume one Next() per 64 bits,
-  /// bit i of the mask being bit i%64 of draw i/64 — the same stream the
-  /// historical per-bit sampler consumed, so fixed seeds reproduce.
-  void RandomMaskInto(Bitset& out, size_t n, double p);
 
   /// Shuffles `items` uniformly (Fisher-Yates).
   template <typename T>

@@ -23,6 +23,33 @@ PartiteSubset FullParts(int l, uint32_t n) {
   return s;
 }
 
+// The colour-coding oracle keys its colourings on this hash, so it must
+// depend on the subset's content only: the mask length past the last set
+// bit does not matter, while part order and every bit do.
+TEST(HashPartiteSubsetTest, PureContentHash) {
+  PartiteSubset a;
+  a.parts = {Bitset(100), Bitset(100)};
+  a.parts[0].Set(3);
+  a.parts[1].SetRange(60, 70);
+  PartiteSubset longer;
+  longer.parts = {Bitset(5000), Bitset(130)};
+  longer.parts[0].Set(3);
+  longer.parts[1].SetRange(60, 70);
+  EXPECT_EQ(HashPartiteSubset(a), HashPartiteSubset(longer));
+
+  PartiteSubset swapped;
+  swapped.parts = {a.parts[1], a.parts[0]};
+  EXPECT_NE(HashPartiteSubset(a), HashPartiteSubset(swapped));
+  PartiteSubset one_part;
+  one_part.parts = {a.parts[0]};
+  EXPECT_NE(HashPartiteSubset(a), HashPartiteSubset(one_part));
+  for (size_t bit : {0u, 3u, 64u, 99u}) {
+    PartiteSubset flipped = a;
+    flipped.parts[0].Set(bit, !flipped.parts[0].Test(bit));
+    EXPECT_NE(HashPartiteSubset(a), HashPartiteSubset(flipped)) << bit;
+  }
+}
+
 TEST(BruteForceOracleTest, Observation25Bijection) {
   // The hyperedges of H(phi, D) are exactly the answers.
   Query q = Parse("ans(x, y) :- E(x, y).");

@@ -82,17 +82,6 @@ TEST(PlanCacheTest, InsertReplacesExistingKey) {
   EXPECT_EQ(cache.Stats().entries, 1u);
 }
 
-TEST(PlanCacheTest, ClearDropsEntriesKeepsCounters) {
-  PlanCache cache(8, 2);
-  cache.Insert("a", PlanWithKey("a"));
-  ASSERT_NE(cache.Lookup("a"), nullptr);
-  cache.Clear();
-  EXPECT_EQ(cache.Lookup("a"), nullptr);
-  PlanCacheStats stats = cache.Stats();
-  EXPECT_EQ(stats.entries, 0u);
-  EXPECT_EQ(stats.hits, 1u);
-}
-
 TEST(PlanCacheTest, ConcurrentMixedUseIsSafe) {
   PlanCache cache(32, 4);
   std::vector<std::thread> threads;

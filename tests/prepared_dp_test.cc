@@ -15,6 +15,7 @@
 #include "counting/dlm_counter.h"
 #include "counting/fptras.h"
 #include "decomposition/elimination_order.h"
+#include "decomposition/width_measures.h"
 #include "engine/engine.h"
 #include "hom/hom_oracle.h"
 #include "query/parser.h"
@@ -147,6 +148,151 @@ TEST_P(PreparedDpPropertyTest, PreparedMatchesMonolithic) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PreparedDpPropertyTest,
                          ::testing::Range(0, 100));
+
+// `db`'s facts over a universe of `universe` >= db.universe_size()
+// values, the extra ones unused.
+Database Padded(const Database& db, uint32_t universe) {
+  Database padded(universe);
+  for (const std::string& name : db.RelationNames()) {
+    const Relation& rel = db.relation(name);
+    EXPECT_TRUE(padded.DeclareRelation(name, rel.arity()).ok());
+    for (TupleView row : rel) {
+      EXPECT_TRUE(padded.AddFact(name, Tuple(row.begin(), row.end())).ok());
+    }
+  }
+  padded.Canonicalize();
+  return padded;
+}
+
+// The overlay-candidate contract: a trial reads a mask only at its
+// variable's overlay candidates, so masks that agree there give the same
+// verdict whatever they hold elsewhere. Each trial decides once with
+// random masks and once with the same masks re-drawn at every
+// non-candidate value, on the cached and on the uncached path. The
+// universe is padded so that candidate lists of the database's own
+// values stay under their cap. Queries with a variable no positive atom
+// binds are left to PreparedDpPropertyTest: here that variable would
+// range over the padding and blow up the bag joins.
+class OverlayCandidatePropertyTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(OverlayCandidatePropertyTest, MasksNeedOnlyAgreeAtCandidates) {
+  constexpr uint32_t kPadded = 320;
+  const int seed = GetParam();
+  Rng rng(seed * 733 + 5);
+  Query q = RandomQueryWithDisequalities(rng, 1 + seed % 3);
+  Database db = Padded(RandomDatabaseFor(q, kUniverse, 0.45, rng), kPadded);
+  Hypergraph h = q.BuildHypergraph();
+  const internal::TrialOverlay overlay(q);
+  const std::vector<int>& overlay_vars = overlay.endpoint_vars();
+  std::vector<char> bound(static_cast<size_t>(q.num_vars()), 0);
+  for (const Atom& atom : q.atoms()) {
+    if (atom.negated) continue;
+    for (int v : atom.vars) bound[static_cast<size_t>(v)] = 1;
+  }
+  if (std::count(bound.begin(), bound.end(), 0) > 0) return;
+
+  DecompositionSolver cached_solver(
+      q, db, DecompositionFromOrder(h, MinFillOrder(h)));
+  DecompositionSolver uncached_solver(
+      q, db, DecompositionFromOrder(h, MinFillOrder(h)));
+  {
+    failpoint::ScopedFailpoint no_cache("dp.bag_cache_build", {});
+    uncached_solver.Prepare(VarDomains(), overlay_vars);
+  }
+  for (DecompositionSolver* solver : {&cached_solver, &uncached_solver}) {
+    std::unique_ptr<SolverEvalContext> ctx = solver->CreateEvalContext();
+    for (int call = 0; call < 3; ++call) {
+      PreparedDp prepared =
+          solver->Prepare(RandomBaseDomains(q, rng), overlay_vars, *ctx);
+      for (int trial = 0; trial < 6; ++trial) {
+        std::vector<Bitset> masks;
+        std::vector<Bitset> scrambled;
+        for (int var : overlay_vars) {
+          masks.push_back(rng.RandomMask(kPadded, 0.5));
+          Bitset other = rng.RandomMask(kPadded, 0.5);
+          const std::vector<Value>* candidates =
+              ctx->overlay_candidates(var);
+          ASSERT_NE(candidates, nullptr);
+          for (Value v : *candidates) other.Set(v, masks.back().Test(v));
+          scrambled.push_back(std::move(other));
+        }
+        std::vector<DomainRestriction> extra;
+        std::vector<DomainRestriction> scrambled_extra;
+        for (size_t k = 0; k < overlay_vars.size(); ++k) {
+          extra.push_back({overlay_vars[k], &masks[k]});
+          scrambled_extra.push_back({overlay_vars[k], &scrambled[k]});
+        }
+        const bool expected = prepared.Decide(extra);
+        EXPECT_EQ(prepared.Decide(scrambled_extra), expected)
+            << q.ToString() << " call " << call << " trial " << trial;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, OverlayCandidatePropertyTest,
+                         ::testing::Range(0, 60));
+
+// The same contract end to end through the oracle's own masks: on a
+// universe large enough that trials colour only the candidates (their
+// masks then differ from the dense ones off the candidates), a trial
+// drawn with the context's candidates decides exactly as the dense draw
+// of the same trial key.
+TEST(OverlayCandidateTest, CandidateDrawsDecideAsDenseDraws) {
+  constexpr uint32_t kWide = 4096;
+  Database db(kWide);
+  ASSERT_TRUE(db.DeclareRelation("F", 2).ok());
+  for (Value u = 0; u < kWide; ++u) {
+    for (Value step : {1u, 7u, 31u}) {
+      ASSERT_TRUE(db.AddFact("F", {u, (u + step) % kWide}).ok());
+    }
+  }
+  db.Canonicalize();
+  int partial_draws = 0;
+  for (const char* text : {
+           "ans(x) :- F(x, y), F(x, z), y != z.",
+           "ans(x) :- F(x, y), F(y, z), x != z, y != z.",
+           "ans(x) :- F(x, z), F(z, y), x != z, x != y.",
+       }) {
+    StatusOr<Query> q = ParseQuery(text);
+    ASSERT_TRUE(q.ok()) << q.status().ToString();
+    Hypergraph h = q->BuildHypergraph();
+    DecompositionHomOracle hom(
+        *q, db,
+        ComputeDecomposition(h, WidthObjective::kTreewidth).decomposition);
+    std::unique_ptr<HomContext> ctx = hom.CreateContext();
+    internal::TrialOverlay sparse(*q);
+    internal::TrialOverlay dense(*q);
+    Rng rng(91);
+    int witnesses = 0;
+    for (int call = 0; call < 40; ++call) {
+      VarDomains base;
+      base.allowed.resize(static_cast<size_t>(q->num_vars()));
+      for (int i = 0; i < q->num_free(); ++i) {
+        const size_t lo = rng.UniformInt(kWide);
+        Bitset& part = base.allowed[static_cast<size_t>(i)];
+        part.Assign(kWide, false);
+        part.SetRange(lo, std::min<size_t>(kWide, lo + 1 + rng.UniformInt(4)));
+      }
+      std::unique_ptr<PreparedHom> prepared =
+          hom.Prepare(base, sparse.endpoint_vars(), ctx.get());
+      sparse.BeginCall(kWide, ctx.get());
+      dense.BeginCall(kWide, nullptr);
+      for (uint64_t trial = 0; trial < 8; ++trial) {
+        const uint64_t key = DeriveSeed(static_cast<uint64_t>(call), trial);
+        const std::vector<DomainRestriction>& got = sparse.Draw(key);
+        const std::vector<DomainRestriction>& want = dense.Draw(key);
+        partial_draws += *got[0].mask != *want[0].mask ? 1 : 0;
+        const bool verdict = prepared->Decide(got);
+        EXPECT_EQ(verdict, prepared->Decide(want))
+            << text << " call " << call << " trial " << trial;
+        witnesses += verdict ? 1 : 0;
+      }
+    }
+    EXPECT_GT(witnesses, 0) << text;
+  }
+  EXPECT_GT(partial_draws, 0);
+}
 
 // End to end through ApproxCountAnswers: the uncached path serves the
 // same verdicts as the cached one, so the estimate, its interval and the

@@ -77,9 +77,9 @@ TEST(RngTest, RandomMaskDensity) {
 }
 
 TEST(RngTest, RandomMaskBitStreamMatchesPerBitDraws) {
-  // The packed fair mask must consume the historical bit stream: bit i
-  // equals bit i%64 of the (i/64)-th Next() draw — fixed-seed estimates
-  // depend on it.
+  // The packed fair mask consumes the generator's bit stream in order:
+  // bit i equals bit i%64 of the (i/64)-th Next() draw, so fixed-seed
+  // tests that draw random masks reproduce.
   Rng word_rng(99);
   Bitset mask = word_rng.RandomMask(130, 0.5);
   Rng bit_rng(99);
@@ -98,16 +98,14 @@ TEST(RngTest, RandomMaskBitStreamMatchesPerBitDraws) {
   EXPECT_EQ(word_rng.Next(), bit_rng.Next());
 }
 
-TEST(RngTest, RandomMaskIntoReusesBuffer) {
+TEST(RngTest, RandomMaskExtremes) {
   Rng rng(31);
-  Bitset mask;
-  rng.RandomMaskInto(mask, 100, 0.5);
-  EXPECT_EQ(mask.size(), 100u);
-  rng.RandomMaskInto(mask, 65, 1.0);
-  EXPECT_EQ(mask.size(), 65u);
-  EXPECT_EQ(mask.Count(), 65u);
-  rng.RandomMaskInto(mask, 10, 0.0);
-  EXPECT_TRUE(mask.None());
+  Bitset full = rng.RandomMask(65, 1.0);
+  EXPECT_EQ(full.size(), 65u);
+  EXPECT_EQ(full.Count(), 65u);
+  Bitset none = rng.RandomMask(10, 0.0);
+  EXPECT_EQ(none.size(), 10u);
+  EXPECT_TRUE(none.None());
 }
 
 TEST(RngTest, ShufflePreservesElements) {
